@@ -22,10 +22,31 @@
 //! The per-query adversarial view is a pair of bucket ids — the direct
 //! analogue of `(d_j, o_j)` — so privacy is `ε = O(log b)` per bucket query
 //! by the Section 6 analysis over the repertoire Σ.
+//!
+//! **Planned ahead: two round trips per batch.** No address of a bucket
+//! query depends on data: the download bucket depends only on whether the
+//! queried bucket is stashed, and the overwrite coin and decoy are
+//! independent draws. [`BucketRam::query_batch`] therefore plans all `k`
+//! queries `(d_j, o_j)` before any I/O (the stash state after query `j`
+//! decides query `j + 1`'s download), fetches every `B(d_j) ‖ B(o_j)` in
+//! one read, replays the queries on the client in order, and uploads every
+//! `B(o_j)` in one strided write. During the replay a cell written by an
+//! earlier query of the batch overrides the copy fetched, and client-stash
+//! copies still win over both, as Appendix E requires. A batch of `k`
+//! queries over `s`-cell buckets is always one read of `2·k·s` cells
+//! followed by one write of `k·s` cells; [`BucketRam::query`] is a batch of
+//! one. Drawing an independent coin earlier does not change its
+//! distribution, so the view is still one `(d_j, o_j)` pair per query with
+//! the sequential dance's distribution.
+//!
+//! Failures leave the client consistent. No client state changes until the
+//! read succeeds and decrypts; if the write then fails, every bucket the
+//! batch meant to write back stays stashed, because its client copy is the
+//! only authoritative one.
 
 use std::collections::{HashMap, HashSet};
 
-use dps_crypto::{BlockCipher, ChaChaRng, CryptoError, CIPHERTEXT_OVERHEAD};
+use dps_crypto::{BlockCipher, ChaChaRng, CIPHERTEXT_OVERHEAD};
 use dps_server::{ServerError, SimServer, Storage};
 
 /// The typed per-bucket-query adversarial view.
@@ -79,6 +100,67 @@ impl From<ServerError> for BucketRamError {
     }
 }
 
+/// The contents of one bucket query and its adversarial view.
+pub type BucketQueryResult = (Vec<Vec<u8>>, BucketTrace);
+
+/// One bucket query of a batch, planned before any I/O.
+#[derive(Debug, Clone, Copy)]
+struct PlannedQuery {
+    bucket: usize,
+    /// The bucket is stashed when this query starts (decoy download).
+    stashed: bool,
+    /// The overwrite coin: re-stash the bucket and refresh a decoy.
+    restash: bool,
+    trace: BucketTrace,
+    /// Read position of the first cell of `B(download)`; the cells of
+    /// `B(overwrite)` follow those of `B(download)`.
+    read_at: usize,
+}
+
+/// Where the latest plaintext of a cell written earlier in the batch is.
+#[derive(Debug, Clone, Copy)]
+enum Written {
+    /// Read position `i` of the batch's fetch (a refreshed, untouched cell).
+    Fetched(usize),
+    /// Cell `i` of query `j`'s post-update contents (a write-back).
+    Query(usize, usize),
+}
+
+/// Buffers reused by every batch.
+#[derive(Debug, Default)]
+struct BatchScratch {
+    plan: Vec<PlannedQuery>,
+    read_addrs: Vec<usize>,
+    /// Per read position: whether its plaintext is used (so decrypted).
+    used: Vec<bool>,
+    /// Plaintext of read position `i` at `i * cell_size`.
+    fetched: Vec<u8>,
+    /// Cells written so far in the batch, latest last (k·s entries at most,
+    /// so a scan beats a map).
+    written: Vec<(usize, Written)>,
+    write_addrs: Vec<usize>,
+    enc_cell: Vec<u8>,
+    enc_flat: Vec<u8>,
+}
+
+/// The latest write of `cell` earlier in the batch, if any.
+fn latest(written: &[(usize, Written)], cell: usize) -> Option<Written> {
+    written.iter().rev().find(|(c, _)| *c == cell).map(|&(_, w)| w)
+}
+
+/// The plaintext bytes a [`Written`] source points at.
+fn resolve<'a>(
+    src: Written,
+    fetched: &'a [u8],
+    results: &'a [BucketQueryResult],
+    cell_size: usize,
+) -> &'a [u8] {
+    match src {
+        Written::Fetched(pos) => &fetched[pos * cell_size..(pos + 1) * cell_size],
+        Written::Query(j, i) => &results[j].0[i],
+    }
+}
+
 /// DP-RAM over a repertoire of (possibly overlapping) buckets of cells.
 #[derive(Debug)]
 pub struct BucketRam<S: Storage = SimServer> {
@@ -96,16 +178,7 @@ pub struct BucketRam<S: Storage = SimServer> {
     refcount: HashMap<usize, u32>,
     /// High-water mark of stashed cells, for client-storage experiments.
     max_stashed_cells: usize,
-    /// Reusable flat ciphertext scratch for the overwrite phase's
-    /// download (decoy refresh path).
-    ct_scratch: Vec<u8>,
-    /// Reusable per-cell plaintext scratch.
-    pt_scratch: Vec<u8>,
-    /// Reusable per-cell encryption output scratch.
-    enc_cell: Vec<u8>,
-    /// Reusable flat encryption scratch handed to
-    /// [`SimServer::write_batch_strided`].
-    enc_flat: Vec<u8>,
+    scratch: BatchScratch,
 }
 
 impl<S: Storage> BucketRam<S> {
@@ -161,10 +234,7 @@ impl<S: Storage> BucketRam<S> {
             cell_stash: HashMap::new(),
             refcount: HashMap::new(),
             max_stashed_cells: 0,
-            ct_scratch: Vec::new(),
-            pt_scratch: Vec::new(),
-            enc_cell: Vec::new(),
-            enc_flat: Vec::new(),
+            scratch: BatchScratch::default(),
         };
         // Setup-time stashing (per-bucket, like Algorithm 2's per-record).
         for b in 0..ram.buckets.len() {
@@ -214,169 +284,272 @@ impl<S: Storage> BucketRam<S> {
 
     fn stash_bucket(&mut self, b: usize, contents: &[Vec<u8>]) {
         debug_assert_eq!(contents.len(), self.buckets[b].len());
-        if !self.stashed_buckets.insert(b) {
-            // Already stashed: just refresh the cell copies.
-            for (&cell, content) in self.buckets[b].iter().zip(contents) {
-                self.cell_stash.insert(cell, content.clone());
+        let fresh = self.stashed_buckets.insert(b);
+        for (i, content) in contents.iter().enumerate() {
+            let cell = self.buckets[b][i];
+            if fresh {
+                *self.refcount.entry(cell).or_insert(0) += 1;
             }
-            return;
-        }
-        // self.buckets[b] cloned to appease the borrow checker; paths are
-        // short (Θ(log log n)).
-        for (cell, content) in self.buckets[b].clone().into_iter().zip(contents) {
-            *self.refcount.entry(cell).or_insert(0) += 1;
-            self.cell_stash.insert(cell, content.clone());
+            match self.cell_stash.get_mut(&cell) {
+                Some(copy) => copy.clone_from(content),
+                None => {
+                    self.cell_stash.insert(cell, content.clone());
+                }
+            }
         }
         self.max_stashed_cells = self.max_stashed_cells.max(self.cell_stash.len());
     }
 
-    /// Removes bucket `b` from the stash, returning its cell contents.
-    /// Cells still referenced by other stashed buckets keep their client
-    /// copies.
-    fn unstash_bucket(&mut self, b: usize) -> Vec<Vec<u8>> {
+    /// Removes bucket `b` from the stash. Cells still referenced by other
+    /// stashed buckets keep their client copies.
+    fn unstash_bucket(&mut self, b: usize) {
         let was_stashed = self.stashed_buckets.remove(&b);
         debug_assert!(was_stashed, "unstash of a bucket that was not stashed");
-        let mut contents = Vec::with_capacity(self.buckets[b].len());
-        for cell in self.buckets[b].clone() {
-            let value = self.cell_stash.get(&cell).expect("stashed cell present").clone();
-            let count = self.refcount.get_mut(&cell).expect("refcounted");
-            *count -= 1;
-            if *count == 0 {
-                self.refcount.remove(&cell);
-                self.cell_stash.remove(&cell);
+        for i in 0..self.buckets[b].len() {
+            let cell = self.buckets[b][i];
+            if let Some(count) = self.refcount.get_mut(&cell) {
+                *count -= 1;
+                if *count == 0 {
+                    self.refcount.remove(&cell);
+                    self.cell_stash.remove(&cell);
+                }
             }
-            contents.push(value);
         }
-        contents
     }
 
-    /// Downloads the cells of bucket `b` from the server (one round trip)
-    /// and decrypts each borrowed cell slice straight into the returned
-    /// plaintexts; does not consult the stash. No ciphertext copies.
-    fn download_bucket(&mut self, b: usize) -> Result<Vec<Vec<u8>>, BucketRamError> {
-        let mut contents: Vec<Vec<u8>> = Vec::with_capacity(self.buckets[b].len());
-        let cipher = &self.cipher;
-        let mut failure: Option<CryptoError> = None;
-        self.server.read_batch_with(&self.buckets[b], |_, cell| {
-            let mut plain = Vec::new();
-            if let Err(e) = cipher.decrypt_into(cell, &mut plain) {
-                failure.get_or_insert(e);
-            }
-            contents.push(plain);
-        })?;
-        if let Some(e) = failure {
-            return Err(BucketRamError::Crypto(e.to_string()));
-        }
-        Ok(contents)
-    }
-
-    /// Downloads the cells of bucket `b` and discards them (decoy-download
-    /// shape): the bytes never leave the server arena.
-    fn download_bucket_discard(&mut self, b: usize) -> Result<(), BucketRamError> {
-        self.server.read_batch_with(&self.buckets[b], |_, _| {})?;
-        Ok(())
+    /// The current contents of `bucket` during a batch replay: a client
+    /// copy wins, then the latest write earlier in the batch, then the
+    /// fetched cell at read position `read_at + i`.
+    fn current_contents(
+        &self,
+        bucket: usize,
+        read_at: usize,
+        scratch: &BatchScratch,
+        results: &[BucketQueryResult],
+    ) -> Vec<Vec<u8>> {
+        self.buckets[bucket]
+            .iter()
+            .enumerate()
+            .map(|(i, &cell)| match self.cell_stash.get(&cell) {
+                Some(copy) => copy.clone(),
+                None => {
+                    let src =
+                        latest(&scratch.written, cell).unwrap_or(Written::Fetched(read_at + i));
+                    resolve(src, &scratch.fetched, results, self.cell_size).to_vec()
+                }
+            })
+            .collect()
     }
 
     /// One bucket query: retrieves bucket `bucket`'s current contents,
     /// applies `update` to them (identity for pure reads — the transcript
     /// shape is update-independent), and runs the overwrite phase. Returns
-    /// the post-update contents and the typed trace.
+    /// the post-update contents and the typed trace. A batch of one (see
+    /// [`BucketRam::query_batch`]): two round trips.
     pub fn query<F>(
         &mut self,
         bucket: usize,
         update: F,
         rng: &mut ChaChaRng,
-    ) -> Result<(Vec<Vec<u8>>, BucketTrace), BucketRamError>
+    ) -> Result<BucketQueryResult, BucketRamError>
     where
         F: FnOnce(&mut Vec<Vec<u8>>),
     {
+        let mut update = Some(update);
+        let mut results = self.query_batch(
+            &[bucket],
+            |_, contents| {
+                if let Some(f) = update.take() {
+                    f(contents);
+                }
+            },
+            rng,
+        )?;
+        Ok(results.swap_remove(0))
+    }
+
+    /// Runs `queries.len()` bucket queries in order, with every address
+    /// planned up front: one read of every `B(d_j) ‖ B(o_j)`, a client-side
+    /// replay that hands query `j`'s contents to `update(j, contents)`,
+    /// then one strided write of every `B(o_j)` (see the [module
+    /// docs](self)). Returns each query's post-update contents and trace,
+    /// in order. A bucket may repeat: a later query sees what the earlier
+    /// one left.
+    ///
+    /// On a server or decryption failure of the read, nothing client-side
+    /// has changed. On a failure of the write, the replay stands and every
+    /// written-back bucket stays stashed. An update that changes the
+    /// bucket's shape is undone (its query goes on with the bucket
+    /// unchanged) and reported as [`BucketRamError::BadUpdate`] after the
+    /// batch.
+    pub fn query_batch<F>(
+        &mut self,
+        queries: &[usize],
+        mut update: F,
+        rng: &mut ChaChaRng,
+    ) -> Result<Vec<BucketQueryResult>, BucketRamError>
+    where
+        F: FnMut(usize, &mut Vec<Vec<u8>>),
+    {
         let b = self.buckets.len();
-        if bucket >= b {
+        if let Some(&bucket) = queries.iter().find(|&&q| q >= b) {
             return Err(BucketRamError::BucketOutOfRange { bucket, b });
         }
+        if queries.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.run_batch(&mut scratch, queries, &mut update, rng);
+        self.scratch = scratch;
+        result
+    }
 
-        // ---- Download phase ----
-        let download;
-        let mut contents;
-        if self.stashed_buckets.contains(&bucket) {
-            download = rng.gen_index(b);
-            self.download_bucket_discard(download)?; // decoy, discarded
-            contents = self.unstash_bucket(bucket);
-        } else {
-            download = bucket;
-            contents = self.download_bucket(download)?;
-            // Overlap resolution (Appendix E): client copies win.
-            for (i, &cell) in self.buckets[bucket].clone().iter().enumerate() {
-                if let Some(fresh) = self.cell_stash.get(&cell) {
-                    contents[i] = fresh.clone();
+    fn run_batch(
+        &mut self,
+        s: &mut BatchScratch,
+        queries: &[usize],
+        update: &mut impl FnMut(usize, &mut Vec<Vec<u8>>),
+        rng: &mut ChaChaRng,
+    ) -> Result<Vec<BucketQueryResult>, BucketRamError> {
+        let b = self.buckets.len();
+        let cell_size = self.cell_size;
+
+        // ---- Plan: every address before any I/O ----
+        s.plan.clear();
+        s.read_addrs.clear();
+        s.used.clear();
+        for &bucket in queries {
+            // The latest earlier query of the same bucket decides whether
+            // it is stashed now.
+            let stashed = match s.plan.iter().rev().find(|q| q.bucket == bucket) {
+                Some(earlier) => earlier.restash,
+                None => self.stashed_buckets.contains(&bucket),
+            };
+            let download = if stashed { rng.gen_index(b) } else { bucket };
+            let restash = rng.gen_bool(self.stash_probability);
+            let overwrite = if restash { rng.gen_index(b) } else { bucket };
+            let read_at = s.read_addrs.len();
+            // A fetched cell is used by a real download or a refresh,
+            // unless an earlier query of the batch writes it first.
+            for (phase, used) in [(download, !stashed), (overwrite, restash)] {
+                for &cell in &self.buckets[phase] {
+                    let covered = s
+                        .plan
+                        .iter()
+                        .any(|q| self.buckets[q.trace.overwrite].contains(&cell));
+                    s.read_addrs.push(cell);
+                    s.used.push(used && !covered);
                 }
             }
+            s.plan.push(PlannedQuery {
+                bucket,
+                stashed,
+                restash,
+                trace: BucketTrace { download, overwrite },
+                read_at,
+            });
         }
 
-        let before_len = contents.len();
-        update(&mut contents);
-        if contents.len() != before_len || contents.iter().any(|c| c.len() != self.cell_size) {
-            return Err(BucketRamError::BadUpdate(format!(
-                "update must preserve bucket shape ({before_len} cells of {} bytes)",
-                self.cell_size
-            )));
+        // ---- Round trip 1: B(d_j) ‖ B(o_j) for every query ----
+        let ct_len = cell_size + CIPHERTEXT_OVERHEAD;
+        s.fetched.resize(s.read_addrs.len() * cell_size, 0);
+        let mut failure: Option<String> = None;
+        let (cipher, used, fetched) = (&self.cipher, &s.used, &mut s.fetched);
+        self.server.read_batch_with(&s.read_addrs, |i, cell| {
+            if !used[i] || failure.is_some() {
+                return;
+            }
+            // A tampered or odd-length cell is a crypto error, not a
+            // misaligned plaintext slot.
+            if cell.len() != ct_len {
+                failure = Some(format!("cell has {} bytes, expected {ct_len}", cell.len()));
+            } else if let Err(e) =
+                cipher.decrypt_to_slice(cell, &mut fetched[i * cell_size..(i + 1) * cell_size])
+            {
+                failure = Some(e.to_string());
+            }
+        })?;
+        if let Some(msg) = failure {
+            return Err(BucketRamError::Crypto(msg));
         }
 
-        // ---- Overwrite phase ----
-        let overwrite;
-        if rng.gen_bool(self.stash_probability) {
-            // Stash the bucket; refresh a uniform decoy bucket: download
-            // its ciphertexts into flat scratch, decrypt + re-encrypt each
-            // cell through the reusable buffers, upload the flat result.
-            self.stash_bucket(bucket, &contents);
-            overwrite = rng.gen_index(b);
-            let ct_len = self.cell_size + CIPHERTEXT_OVERHEAD;
-            let ct = &mut self.ct_scratch;
-            ct.clear();
-            self.server
-                .read_batch_with(&self.buckets[overwrite], |_, cell| {
-                    ct.extend_from_slice(cell);
-                })?;
-            // A tampered/odd-length cell must surface as a crypto error (as
-            // the per-cell decrypt did before), not skew the chunking and
-            // the strided upload's inferred stride.
-            if self.ct_scratch.len() != self.buckets[overwrite].len() * ct_len {
-                return Err(BucketRamError::Crypto(format!(
-                    "decoy bucket {} has malformed cell lengths ({} bytes total, expected {})",
-                    overwrite,
-                    self.ct_scratch.len(),
-                    self.buckets[overwrite].len() * ct_len
-                )));
+        // ---- Replay on the client, in order ----
+        s.written.clear();
+        s.write_addrs.clear();
+        s.enc_flat.clear();
+        let mut results: Vec<BucketQueryResult> = Vec::with_capacity(s.plan.len());
+        let mut bad_update = None;
+        for j in 0..s.plan.len() {
+            let q = s.plan[j];
+            let mut contents = self.current_contents(q.bucket, q.read_at, s, &results);
+            update(j, &mut contents);
+            let expected = self.buckets[q.bucket].len();
+            if contents.len() != expected || contents.iter().any(|c| c.len() != cell_size) {
+                bad_update.get_or_insert(format!(
+                    "update must preserve bucket shape ({expected} cells of {cell_size} bytes)"
+                ));
+                contents = self.current_contents(q.bucket, q.read_at, s, &results);
             }
-            self.enc_flat.clear();
-            for chunk in self.ct_scratch.chunks_exact(ct_len) {
-                self.cipher
-                    .decrypt_into(chunk, &mut self.pt_scratch)
-                    .map_err(|e| BucketRamError::Crypto(e.to_string()))?;
-                self.cipher
-                    .encrypt_into(&self.pt_scratch, &mut self.enc_cell, rng);
-                self.enc_flat.extend_from_slice(&self.enc_cell);
-            }
-            self.server
-                .write_batch_strided(&self.buckets[overwrite], &self.enc_flat)?;
-        } else {
-            // Write the bucket back fresh; keep any client copies in sync.
-            overwrite = bucket;
-            // Same download shape as the decoy path, bytes discarded.
-            self.server.read_batch_with(&self.buckets[bucket], |_, _| {})?;
-            self.enc_flat.clear();
-            for (&addr, content) in self.buckets[bucket].iter().zip(&contents) {
-                if self.cell_stash.contains_key(&addr) {
-                    self.cell_stash.insert(addr, content.clone());
+
+            if q.restash {
+                // Stash the bucket; refresh the decoy's server copies.
+                self.stash_bucket(q.bucket, &contents);
+                let refresh_at = q.read_at + self.buckets[q.trace.download].len();
+                for (i, &cell) in self.buckets[q.trace.overwrite].iter().enumerate() {
+                    let src = latest(&s.written, cell).unwrap_or(Written::Fetched(refresh_at + i));
+                    let plain = resolve(src, &s.fetched, &results, cell_size);
+                    self.cipher.encrypt_into(plain, &mut s.enc_cell, rng);
+                    s.enc_flat.extend_from_slice(&s.enc_cell);
+                    s.write_addrs.push(cell);
+                    s.written.push((cell, src));
                 }
-                self.cipher.encrypt_into(content, &mut self.enc_cell, rng);
-                self.enc_flat.extend_from_slice(&self.enc_cell);
+            } else {
+                // Write the bucket back fresh; keep any client copies in
+                // sync.
+                if q.stashed {
+                    self.unstash_bucket(q.bucket);
+                }
+                for (i, (&cell, content)) in
+                    self.buckets[q.bucket].iter().zip(&contents).enumerate()
+                {
+                    if let Some(copy) = self.cell_stash.get_mut(&cell) {
+                        copy.clone_from(content);
+                    }
+                    self.cipher.encrypt_into(content, &mut s.enc_cell, rng);
+                    s.enc_flat.extend_from_slice(&s.enc_cell);
+                    s.write_addrs.push(cell);
+                    s.written.push((cell, Written::Query(j, i)));
+                }
             }
-            self.server
-                .write_batch_strided(&self.buckets[bucket], &self.enc_flat)?;
+            results.push((contents, q.trace));
         }
 
-        Ok((contents, BucketTrace { download, overwrite }))
+        // ---- Round trip 2: B(o_j) for every query ----
+        if let Err(e) = self.server.write_batch_strided(&s.write_addrs, &s.enc_flat) {
+            // The server may hold none of the write-backs; their client
+            // copies are now the only authoritative ones.
+            for q in &s.plan {
+                if q.restash {
+                    continue;
+                }
+                let contents: Vec<Vec<u8>> = self.buckets[q.bucket]
+                    .iter()
+                    .map(|&cell| match self.cell_stash.get(&cell) {
+                        Some(copy) => copy.clone(),
+                        None => {
+                            let src = latest(&s.written, cell).expect("written back in this batch");
+                            resolve(src, &s.fetched, &results, cell_size).to_vec()
+                        }
+                    })
+                    .collect();
+                self.stash_bucket(q.bucket, &contents);
+            }
+            return Err(e.into());
+        }
+        match bad_update {
+            Some(msg) => Err(BucketRamError::BadUpdate(msg)),
+            None => Ok(results),
+        }
     }
 }
 
@@ -451,7 +624,7 @@ mod tests {
         }
     }
 
-    /// Per-query cost: 2·s downloads + s uploads over 3 round trips, where
+    /// Per-query cost: 2·s downloads + s uploads over 2 round trips, where
     /// s is the bucket size — the bucket analogue of Theorem 6.1.
     #[test]
     fn constant_bucket_overhead() {
@@ -462,7 +635,7 @@ mod tests {
             let diff = ram.server_stats().since(&before);
             assert_eq!(diff.downloads, 6); // 2 buckets × 3 cells
             assert_eq!(diff.uploads, 3);
-            assert_eq!(diff.round_trips, 3);
+            assert_eq!(diff.round_trips, 2);
         }
     }
 

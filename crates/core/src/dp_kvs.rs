@@ -16,7 +16,13 @@
 //! Every KVS operation performs `2·k(n) = 4` bucket queries (two
 //! retrievals, then two updates of which at most one is real — reads and
 //! misses issue the same four), so the transcript shape is independent of
-//! the op, the key, and whether it hits. Bandwidth is
+//! the op, the key, and whether it hits. The two retrievals run as one
+//! planned batch of [`BucketRam::query_batch`], and so do the two updates:
+//! an operation is exactly 4 round trips — read `2·2·depth` cells, write
+//! `2·depth` cells, twice — whatever the op, key, hit or branch. Planning
+//! only moves independent coin draws earlier, so each bucket query's view
+//! `(d_j, o_j)` keeps the distribution the Theorem 7.1 analysis composes.
+//! Bandwidth is
 //! `O(s(n)) = O(log log n)` node cells per operation; server storage is
 //! `O(n)` cells; privacy is `ε = O(k(n)·log n) = O(log n)` with
 //! `δ = negl(n)` from the mapping-scheme failure probability
@@ -201,7 +207,8 @@ impl<S: Storage> DpKvs<S> {
 
     /// Node cells moved per operation: 4 bucket queries, each touching
     /// `3·depth` cells (2 downloads + 1 upload per phase-pair) —
-    /// `O(log log n)` total.
+    /// `O(log log n)` total. They travel in 4 round trips: the two
+    /// retrievals share one read and one write, and so do the two updates.
     pub fn cells_per_op(&self) -> usize {
         4 * 3 * self.config.geometry.depth()
     }
@@ -223,52 +230,45 @@ impl<S: Storage> DpKvs<S> {
             .collect()
     }
 
-    /// Runs one fake-or-real update query over `bucket`, applying `plan`.
-    fn run_update(
+    /// The update pass: one batch of two bucket queries over `a` and `b`
+    /// applying the plans in order (at most one is real). The stored-key
+    /// count follows a path insert or remove once the replay has applied
+    /// it, even if the batch's write then fails: the replayed buckets stay
+    /// stashed, so the change stands.
+    fn run_updates(
         &mut self,
-        bucket: usize,
-        plan: NodePlan,
+        (a, b): (usize, usize),
+        (plan_a, plan_b): (NodePlan, NodePlan),
         rng: &mut ChaChaRng,
-    ) -> Result<BucketTrace, DpKvsError> {
+    ) -> Result<(BucketTrace, BucketTrace), DpKvsError> {
         let capacity = self.config.geometry.node_capacity;
         let value_size = self.config.value_size;
+        let mut plans = [Some(plan_a), Some(plan_b)];
+        let (mut inserted, mut removed) = (false, false);
         let mut failure: Option<String> = None;
-        let (_, trace) = self.ram.query(
-            bucket,
-            |cells| {
-                let apply = |cells: &mut Vec<Vec<u8>>,
-                             height: usize,
-                             f: &mut dyn FnMut(&mut Vec<Slot>)|
-                 -> Result<(), String> {
-                    let mut slots = decode_bucket(&cells[height], capacity, value_size)
-                        .map_err(|e| e.to_string())?;
-                    f(&mut slots);
-                    cells[height] = encode_bucket(&slots, capacity, value_size);
-                    Ok(())
-                };
-                let result = match plan {
-                    NodePlan::Fake => Ok(()),
-                    NodePlan::Update { height, key, value } => apply(cells, height, &mut |slots| {
-                        if let Some(slot) = slots.iter_mut().find(|s| s.id == key) {
-                            slot.payload = value.clone();
-                        }
-                    }),
-                    NodePlan::Insert { height, key, value } => apply(cells, height, &mut |slots| {
-                        slots.push(Slot { id: key, payload: value.clone() });
-                    }),
-                    NodePlan::Remove { height, key } => apply(cells, height, &mut |slots| {
-                        slots.retain(|s| s.id != key);
-                    }),
-                };
-                if let Err(e) = result {
-                    failure = Some(e);
+        let outcome = self.ram.query_batch(
+            &[a, b],
+            |j, cells| {
+                let Some(plan) = plans[j].take() else { return };
+                let grows = matches!(plan, NodePlan::Insert { .. });
+                let shrinks = matches!(plan, NodePlan::Remove { .. });
+                match apply_plan(cells, plan, capacity, value_size) {
+                    Ok(()) => {
+                        inserted |= grows;
+                        removed |= shrinks;
+                    }
+                    Err(e) => {
+                        failure.get_or_insert(e);
+                    }
                 }
             },
             rng,
-        )?;
+        );
+        self.len = self.len + usize::from(inserted) - usize::from(removed);
+        let results = outcome?;
         match failure {
             Some(msg) => Err(DpKvsError::CorruptNode(msg)),
-            None => Ok(trace),
+            None => Ok((results[0].1, results[1].1)),
         }
     }
 
@@ -289,17 +289,16 @@ impl<S: Storage> DpKvs<S> {
     ) -> Result<(R, KvsOpTrace), DpKvsError> {
         let (a, b) = self.buckets_for(key);
 
-        // Retrieval pass: two bucket queries with identity updates.
-        let (cells_a, retrieve_a) = self.ram.query(a, |_| {}, rng)?;
-        let (cells_b, retrieve_b) = self.ram.query(b, |_| {}, rng)?;
-        let path_a = self.decode_path(&cells_a)?;
-        let path_b = self.decode_path(&cells_b)?;
+        // Retrieval pass: one batch of two identity bucket queries.
+        let retrieved = self.ram.query_batch(&[a, b], |_, _| {}, rng)?;
+        let path_a = self.decode_path(&retrieved[0].0)?;
+        let path_b = self.decode_path(&retrieved[1].0)?;
+        let (retrieve_a, retrieve_b) = (retrieved[0].1, retrieved[1].1);
 
         let (plan_a, plan_b, result) = decide(self, a, b, &path_a, &path_b)?;
 
-        // Update pass: two more bucket queries; at most one plan is real.
-        let update_a = self.run_update(a, plan_a, rng)?;
-        let update_b = self.run_update(b, plan_b, rng)?;
+        // Update pass: one more batch of two; at most one plan is real.
+        let (update_a, update_b) = self.run_updates((a, b), (plan_a, plan_b), rng)?;
 
         Ok((result, KvsOpTrace { retrieve_a, retrieve_b, update_a, update_b }))
     }
@@ -375,11 +374,9 @@ impl<S: Storage> DpKvs<S> {
             let loads_b: Vec<usize> = path_b.iter().map(Vec::len).collect();
             match choose_slot(&loads_a, &loads_b, capacity) {
                 Some((0, height)) => {
-                    kvs.len += 1;
                     Ok((NodePlan::Insert { height, key, value }, NodePlan::Fake, ()))
                 }
                 Some((_, height)) => {
-                    kvs.len += 1;
                     Ok((NodePlan::Fake, NodePlan::Insert { height, key, value }, ()))
                 }
                 None => {
@@ -401,11 +398,9 @@ impl<S: Storage> DpKvs<S> {
     pub fn remove(&mut self, key: u64, rng: &mut ChaChaRng) -> Result<Option<Vec<u8>>, DpKvsError> {
         let (result, _) = self.operate(key, rng, |kvs, _a, _b, path_a, path_b| {
             if let Some((height, value)) = Self::find_in_path(path_a, key) {
-                kvs.len -= 1;
                 return Ok((NodePlan::Remove { height, key }, NodePlan::Fake, Some(value)));
             }
             if let Some((height, value)) = Self::find_in_path(path_b, key) {
-                kvs.len -= 1;
                 return Ok((NodePlan::Fake, NodePlan::Remove { height, key }, Some(value)));
             }
             if let Some(pos) = kvs.super_root.iter().position(|(k, _)| *k == key) {
@@ -416,6 +411,35 @@ impl<S: Storage> DpKvs<S> {
             Ok((NodePlan::Fake, NodePlan::Fake, None))
         })?;
         Ok(result)
+    }
+}
+
+/// Applies one update plan to a path's node cells (leaf-to-root).
+fn apply_plan(
+    cells: &mut [Vec<u8>],
+    plan: NodePlan,
+    capacity: usize,
+    value_size: usize,
+) -> Result<(), String> {
+    let edit = |cell: &mut Vec<u8>, f: &mut dyn FnMut(&mut Vec<Slot>)| -> Result<(), String> {
+        let mut slots = decode_bucket(cell, capacity, value_size).map_err(|e| e.to_string())?;
+        f(&mut slots);
+        *cell = encode_bucket(&slots, capacity, value_size);
+        Ok(())
+    };
+    match plan {
+        NodePlan::Fake => Ok(()),
+        NodePlan::Update { height, key, value } => edit(&mut cells[height], &mut |slots| {
+            if let Some(slot) = slots.iter_mut().find(|s| s.id == key) {
+                slot.payload = value.clone();
+            }
+        }),
+        NodePlan::Insert { height, key, value } => edit(&mut cells[height], &mut |slots| {
+            slots.push(Slot { id: key, payload: value.clone() });
+        }),
+        NodePlan::Remove { height, key } => edit(&mut cells[height], &mut |slots| {
+            slots.retain(|s| s.id != key);
+        }),
     }
 }
 
@@ -513,8 +537,8 @@ mod tests {
     }
 
     /// Transcript-shape invariance: hits, misses, puts and removes all
-    /// issue exactly 4 bucket queries = 12 round trips, and move the same
-    /// number of cells.
+    /// issue exactly 4 bucket queries in 2 batches = 4 round trips, and
+    /// move the same number of cells.
     #[test]
     fn op_cost_is_shape_invariant() {
         let (mut kvs, mut rng) = build(64, 7);
@@ -539,7 +563,7 @@ mod tests {
             let diff = kvs.server_stats().since(&before);
             assert_eq!(diff.downloads, 4 * 2 * depth, "{label}");
             assert_eq!(diff.uploads, 4 * depth, "{label}");
-            assert_eq!(diff.round_trips, 12, "{label}");
+            assert_eq!(diff.round_trips, 4, "{label}");
         };
         check(&mut kvs, &mut rng, "hit");
         check(&mut kvs, &mut rng, "miss");

@@ -22,6 +22,16 @@
 //! adjacent pair whose factors differ, each bounded by `(n/p)` or `(n²/p)`).
 //! With `p = Φ(n)/n`, `Φ(n) = ω(log n)`, the stash stays `O(Φ(n))` whp
 //! (Lemma D.1) and `ε = O(log n)` — optimal by Theorem 3.7.
+//!
+//! **Two round trips per query.** No address depends on data: `d` depends
+//! only on whether `B_i` is stashed, and the overwrite coin and its decoy
+//! are independent draws. A query therefore plans `(d, o, coin)` first,
+//! fetches `A[d] ‖ A[o]` in one read, does the decrypt/update/re-encrypt
+//! work on the client, and uploads `A[o]` in one write. The draws happen in
+//! the same order as in the sequential dance, so the view `(d_j, o_j)` has
+//! exactly the distribution the analysis assumes. No client state changes
+//! until the read succeeds; if the write fails, the record stays stashed,
+//! because its client copy is then the authoritative one.
 
 use std::collections::HashMap;
 
@@ -137,9 +147,12 @@ pub struct DpRam<S: Storage = SimServer> {
     server: S,
     /// High-water mark of the stash, for Lemma D.1 experiments.
     max_stash: usize,
-    /// Reusable ciphertext/plaintext scratch: cells are copied here from
-    /// the server arena and decrypted in place (zero per-query allocation).
+    /// Reusable plaintext scratch for the downloaded record: cells are
+    /// decrypted here straight from the server's borrowed bytes (zero
+    /// per-query allocation).
     cell_scratch: Vec<u8>,
+    /// Reusable plaintext scratch for the refreshed decoy cell.
+    refresh_scratch: Vec<u8>,
     /// Reusable encryption output scratch for the overwrite phase.
     enc_scratch: Vec<u8>,
 }
@@ -194,6 +207,7 @@ impl<S: Storage> DpRam<S> {
             server,
             max_stash,
             cell_scratch: Vec::new(),
+            refresh_scratch: Vec::new(),
             enc_scratch: Vec::new(),
         })
     }
@@ -268,59 +282,63 @@ impl<S: Storage> DpRam<S> {
             "write iff a new value is supplied"
         );
 
-        // ---- Download phase ----
-        let mut current;
-        let download;
-        if let Some(stashed) = self.stash.remove(&index) {
-            // Decoy download; the record comes from the stash. The cell is
-            // discarded, so the zero-copy read never leaves the server.
-            download = rng.gen_index(self.config.n);
-            self.server.read_batch_with(&[download], |_, _| {})?;
-            current = stashed;
-        } else {
-            download = index;
-            self.fetch_cell(download)?;
-            self.cipher
-                .decrypt_in_place(&mut self.cell_scratch)
-                .map_err(|e| DpRamError::Crypto(e.to_string()))?;
-            current = self.cell_scratch.clone();
+        // ---- Plan: every address before any I/O ----
+        let stashed = self.stash.contains_key(&index);
+        let download = if stashed { rng.gen_index(self.config.n) } else { index };
+        let restash = rng.gen_bool(self.config.stash_probability);
+        let overwrite = if restash { rng.gen_index(self.config.n) } else { index };
+
+        // ---- Round trip 1: A[d] ‖ A[o] ----
+        // A[d] is used unless it is a decoy; A[o] only when it is refreshed.
+        // Both are decrypted straight from the borrowed cells.
+        let mut failure = None;
+        let (cipher, record, refresh) =
+            (&self.cipher, &mut self.cell_scratch, &mut self.refresh_scratch);
+        self.server.read_batch_with(&[download, overwrite], |i, cell| {
+            let out = match i {
+                0 if !stashed => &mut *record,
+                1 if restash => &mut *refresh,
+                _ => return,
+            };
+            if let Err(e) = cipher.decrypt_into(cell, out) {
+                failure.get_or_insert(e);
+            }
+        })?;
+        if let Some(e) = failure {
+            return Err(DpRamError::Crypto(e.to_string()));
         }
+
+        // ---- Client side: the record's value after the query ----
+        let mut current = match self.stash.remove(&index) {
+            Some(stashed) => stashed,
+            None => self.cell_scratch.clone(),
+        };
         if let Some(v) = new_value {
             current = v;
         }
 
-        // ---- Overwrite phase ----
-        let overwrite;
-        if rng.gen_bool(self.config.stash_probability) {
-            // Stash the record; refresh a random cell so the adversary sees
-            // the same (download, upload) shape either way.
+        // ---- Round trip 2: A[o] ----
+        if restash {
+            // Stash the record; refresh the decoy so the adversary sees the
+            // same (download, upload) shape either way.
             self.stash.insert(index, current.clone());
             self.max_stash = self.max_stash.max(self.stash.len());
-            overwrite = rng.gen_index(self.config.n);
-            self.fetch_cell(overwrite)?;
             self.cipher
-                .decrypt_in_place(&mut self.cell_scratch)
-                .map_err(|e| DpRamError::Crypto(e.to_string()))?;
-            self.cipher
-                .encrypt_into(&self.cell_scratch, &mut self.enc_scratch, rng);
-            self.server.write_from(overwrite, &self.enc_scratch)?;
+                .encrypt_into(&self.refresh_scratch, &mut self.enc_scratch, rng);
         } else {
-            overwrite = index;
-            self.server.read_batch_with(&[overwrite], |_, _| {})?;
             self.cipher.encrypt_into(&current, &mut self.enc_scratch, rng);
-            self.server.write_from(overwrite, &self.enc_scratch)?;
+        }
+        if let Err(e) = self.server.write_from(overwrite, &self.enc_scratch) {
+            if !restash {
+                // The server may not hold the write-back: the client copy
+                // is the authoritative one, so keep the record stashed.
+                self.stash.insert(index, current);
+                self.max_stash = self.max_stash.max(self.stash.len());
+            }
+            return Err(e.into());
         }
 
         Ok((current, RamQueryTrace { download, overwrite }))
-    }
-
-    /// Copies the cell at `addr` into the reusable scratch buffer (one
-    /// round trip, no allocation after warm-up).
-    fn fetch_cell(&mut self, addr: usize) -> Result<(), ServerError> {
-        let scratch = &mut self.cell_scratch;
-        scratch.clear();
-        self.server
-            .read_batch_with(&[addr], |_, cell| scratch.extend_from_slice(cell))
     }
 }
 
@@ -378,7 +396,8 @@ mod tests {
     }
 
     /// Theorem 6.1's headline: every query costs exactly 2 downloads and
-    /// 1 upload, independent of n, the query, and history.
+    /// 1 upload over 2 round trips, independent of n, the query, and
+    /// history.
     #[test]
     fn constant_overhead_invariant() {
         for n in [8usize, 256, 4096] {
@@ -390,7 +409,7 @@ mod tests {
                 let diff = ram.server_stats().since(&before);
                 assert_eq!(diff.downloads, 2, "n = {n}");
                 assert_eq!(diff.uploads, 1, "n = {n}");
-                assert_eq!(diff.round_trips, 3, "n = {n}");
+                assert_eq!(diff.round_trips, 2, "n = {n}");
             }
         }
     }
@@ -462,8 +481,9 @@ mod tests {
 
     #[test]
     fn reads_and_writes_have_identical_trace_shape() {
-        // The adversary must not learn the op; both ops yield one download
-        // then one (download, upload) — checked via server transcript.
+        // The adversary must not learn the op; both ops yield one
+        // (download, download) read then one upload — checked via server
+        // transcript.
         let (mut ram, mut rng) = build(16, 0.3, 7);
         ram.server_mut().start_recording();
         ram.read(2, &mut rng).unwrap();

@@ -63,7 +63,7 @@ fn main() {
         println!("  rt{:02}: {}", i, rendered.join(" "));
     }
     println!(
-        "\nevery operation shows the same down/down+up shape; decoys appear with probability p = {:.3}.",
+        "\nevery operation shows the same down+down/up shape; decoys appear with probability p = {:.3}.",
         board.config().stash_probability
     );
     println!(

@@ -124,15 +124,22 @@ fn kvs_budget_composes_from_bucket_queries() {
     let mut rng = ChaChaRng::seed_from_u64(4);
     let mut kvs = DpKvs::setup(DpKvsConfig::recommended(n, 8), SimServer::new(), &mut rng).unwrap();
 
-    // Count bucket queries per op via round trips: each bucket query is 3.
+    // Count bucket queries per op from the server's downloads: each bucket
+    // query fetches B(d) ‖ B(o), 2·depth cells, whatever the batching. The
+    // typed view must hold exactly one (d, o) pair per counted query.
     kvs.put(1, vec![0u8; 8], &mut rng).unwrap();
+    let depth = kvs.config().geometry.depth() as u64;
     let before = kvs.server_stats();
-    kvs.get(1, &mut rng).unwrap();
-    let rt = kvs.server_stats().since(&before).round_trips;
-    assert_eq!(rt, 12, "4 bucket queries x 3 round trips");
+    let (_, trace) = kvs.get_traced(1, &mut rng).unwrap();
+    let downloads = kvs.server_stats().since(&before).downloads;
+    assert_eq!(downloads % (2 * depth), 0, "whole bucket queries only");
+    let bucket_queries = downloads / (2 * depth);
+    let typed = [trace.retrieve_a, trace.retrieve_b, trace.update_a, trace.update_b];
+    assert_eq!(bucket_queries, typed.len() as u64, "one typed (d, o) pair per bucket query");
+    assert_eq!(bucket_queries, 4, "2·k(n) bucket queries with k(n) = 2");
 
     let per_bucket_query = PrivacyBudget::pure((n as f64).ln());
-    let per_op = basic(per_bucket_query, 4);
+    let per_op = basic(per_bucket_query, bucket_queries as usize);
     assert!((per_op.epsilon - 4.0 * (n as f64).ln()).abs() < 1e-12);
     assert_eq!(per_op.delta, 0.0);
 }

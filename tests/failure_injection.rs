@@ -68,17 +68,42 @@ fn path_oram_detects_corrupted_bucket() {
 #[test]
 fn dp_kvs_detects_corrupted_node() {
     let mut rng = ChaChaRng::seed_from_u64(4);
-    let mut kvs = DpKvs::setup(DpKvsConfig::recommended(N, 8), SimServer::new(), &mut rng).unwrap();
+    // p = 0 pins every bucket query to its own path (no stash, no decoys),
+    // so the next get always decrypts a corrupted cell.
+    let config = DpKvsConfig { stash_probability: 0.0, ..DpKvsConfig::recommended(N, 8) };
+    let mut kvs = DpKvs::setup(config, SimServer::new(), &mut rng).unwrap();
     kvs.put(42, vec![7u8; 8], &mut rng).unwrap();
-    // Corrupt every server cell: whatever path the next get touches fails.
-    let capacity = kvs.server_mut().capacity();
-    for addr in 0..capacity {
-        let cell = kvs.server_mut().read(addr).unwrap();
-        let mut bad = cell;
-        bad[0] ^= 1;
-        kvs.server_mut().write(addr, bad).unwrap();
-    }
+    corrupt_every_cell(kvs.server_mut());
     assert!(kvs.get(42, &mut rng).is_err(), "corrupted nodes must not decrypt");
+}
+
+/// At the recommended stash probability a get may be served entirely from
+/// the client stash and never touch a corrupted cell, so it may succeed —
+/// but only with the correct value: every get is an error or the truth.
+#[test]
+fn dp_kvs_corruption_never_yields_a_wrong_value() {
+    let mut errors = 0;
+    for seed in 0..200 {
+        let mut rng = ChaChaRng::seed_from_u64(seed);
+        let mut kvs =
+            DpKvs::setup(DpKvsConfig::recommended(N, 8), SimServer::new(), &mut rng).unwrap();
+        kvs.put(42, vec![7u8; 8], &mut rng).unwrap();
+        corrupt_every_cell(kvs.server_mut());
+        match kvs.get(42, &mut rng) {
+            Ok(value) => assert_eq!(value, Some(vec![7u8; 8]), "seed {seed}: wrong value"),
+            Err(_) => errors += 1,
+        }
+    }
+    assert!(errors > 0, "corruption must be detected on most seeds");
+}
+
+/// Flips one bit in every server cell.
+fn corrupt_every_cell(server: &mut SimServer) {
+    for addr in 0..server.capacity() {
+        let mut bad = server.read(addr).unwrap();
+        bad[0] ^= 1;
+        server.write(addr, bad).unwrap();
+    }
 }
 
 /// The verified server catches an adversary that rewrites both the cells
