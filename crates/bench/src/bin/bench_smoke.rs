@@ -52,7 +52,7 @@ use dps_workloads::generators::database;
 /// One bench record: scheme name plus the sharding/threading configuration
 /// it ran under (1/1 for the sequential baselines). `threads` counts the
 /// threads doing the work, whichever side they live on: concurrent
-/// *client* threads for `sharded_read_mt` and `net_load_*`, worker-*pool*
+/// *client* threads for `net_load_*`, worker-*pool*
 /// width for `sharded_write_strided` / `par_encrypt_batch`, and the
 /// in-flight request window for `remote_pipelined_read` (one client
 /// thread, `threads` tagged requests outstanding). Throughput-oriented
@@ -120,43 +120,24 @@ fn median_ns(samples: usize, iters: usize, mut op: impl FnMut()) -> u64 {
     })
 }
 
-/// Multi-client read throughput: `clients` threads each issue `iters`
-/// zero-copy batch reads of `batch` cells against their own disjoint
-/// address range of a shared [`ShardedServer`]. Returns the median ns per
-/// *cell read* across samples (total wall time / total cells moved), the
-/// throughput measure that shard-count scaling should improve.
-fn mt_read_ns(
-    server: &ShardedServer,
-    clients: usize,
-    samples: usize,
-    iters: usize,
-    batch: usize,
-) -> u64 {
+/// Single-client read throughput: `iters` zero-copy batch reads of
+/// `batch` cells against a [`ShardedServer`]. Returns the median ns per
+/// *cell read* across samples (total wall time / total cells moved).
+fn sharded_read_ns(server: &mut ShardedServer, samples: usize, iters: usize, batch: usize) -> u64 {
     let n = Storage::capacity(server);
-    let per_client = n / clients;
     median_over_samples(samples, || {
         let start = Instant::now();
-        std::thread::scope(|scope| {
-            for c in 0..clients {
-                scope.spawn(move || {
-                    let base = c * per_client;
-                    let mut sink = 0u64;
-                    for i in 0..iters {
-                        let addrs: Vec<usize> = (0..batch)
-                            .map(|k| base + (i * 13 + k * 7) % per_client)
-                            .collect();
-                        server
-                            .read_batch_with_shared(&addrs, |_, cell| {
-                                sink = sink.wrapping_add(u64::from(cell[0]));
-                            })
-                            .expect("bench read");
-                    }
-                    std::hint::black_box(sink);
-                });
-            }
-        });
-        let total_cells = (clients * iters * batch) as u64;
-        start.elapsed().as_nanos() as u64 / total_cells
+        let mut sink = 0u64;
+        for i in 0..iters {
+            let addrs: Vec<usize> = (0..batch).map(|k| (i * 13 + k * 7) % n).collect();
+            server
+                .read_batch_with(&addrs, |_, cell| {
+                    sink = sink.wrapping_add(u64::from(cell[0]));
+                })
+                .expect("bench read");
+        }
+        std::hint::black_box(sink);
+        start.elapsed().as_nanos() as u64 / (iters * batch) as u64
     })
 }
 
@@ -524,28 +505,25 @@ fn main() {
         ));
     }
 
-    // Multi-client read throughput against the sharded server: C client
-    // threads on disjoint address ranges, swept over shard counts. With
-    // S = 1 every client serializes on one lock; more shards should push
-    // ns/cell back toward the single-client figure (bounded by available
-    // cores — a 1-core CI box only shows contention relief, not true
-    // parallel speedup).
+    // Read throughput against the sharded server, one client, swept over
+    // shard counts: the local twin of `remote_read_batch`. BENCH_10 read
+    // 14-16 ns/cell for every shard count with 1 and with 4 concurrent
+    // clients, so the multi-client rows were dropped along with the
+    // concurrent `&self` server surface they drove.
     {
         let n = 1 << 12;
         let db = database(n, 256);
-        for clients in [1usize, 4] {
-            for shards in [1usize, 2, 4, 8] {
-                let mut server = ShardedServer::new(shards);
-                Storage::init(&mut server, db.clone());
-                let ns = mt_read_ns(&server, clients, samples, 40, 64);
-                results.push(Record {
-                    scheme: "sharded_read_mt".to_string(),
-                    shards,
-                    threads: clients,
-                    median_ns: ns,
-                    ..Record::default()
-                });
-            }
+        for shards in [1usize, 2, 4, 8] {
+            let mut server = ShardedServer::new(shards);
+            Storage::init(&mut server, db.clone());
+            let ns = sharded_read_ns(&mut server, samples, 40, 64);
+            results.push(Record {
+                scheme: "sharded_read_mt".to_string(),
+                shards,
+                threads: 1,
+                median_ns: ns,
+                ..Record::default()
+            });
         }
     }
 
@@ -560,7 +538,7 @@ fn main() {
             let mut server = ShardedServer::new(shards).with_pool(WorkerPool::new(threads));
             Storage::init(&mut server, db.clone());
             let ns = median_ns(samples, 20, || {
-                server.write_batch_strided_shared(&addrs, &flat).unwrap();
+                server.write_batch_strided(&addrs, &flat).unwrap();
             });
             results.push(Record {
                 scheme: "sharded_write_strided".to_string(),

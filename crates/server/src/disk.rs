@@ -17,6 +17,11 @@
 //!   [`CostStats`] (excluded from the paper's cost model — compare with
 //!   [`CostStats::sans_cache`]).
 //!
+//! `DiskStore` is [`Metered`] over [`DiskBackend`], which only moves
+//! bytes: bounds checks, the paper's cost counters and the transcript are
+//! charged by the [`crate::metered`] layer, and the backend reports only
+//! its `cache_*` counters.
+//!
 //! ## Mutation and group commit
 //!
 //! Every mutation is encoded as one checksummed WAL record and applied to
@@ -67,18 +72,20 @@
 //! dirty cell pinned by an uncommitted window) and zero-length cells, but
 //! a cache *miss* would have to touch the failing arena file, so it also
 //! returns `Interrupted` instead of handing back bytes of unknown
-//! provenance. The recovery path is to drop the store and `open` the
-//! directory again.
+//! provenance. A failed read charges only the cells served before the
+//! miss. The recovery path is to drop the store and `open` the directory
+//! again.
+//!
+//! [`Storage`]: crate::Storage
+//! [`Storage::flush`]: crate::Storage::flush
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::cache::CellCache;
+use crate::metered::{Backend, Metered};
 use crate::server::ServerError;
 use crate::stats::CostStats;
-use crate::storage::Storage;
-use crate::store::xor_slices;
-use crate::transcript::{AccessEvent, Transcript};
 use crate::wal::{
     decode_meta, decode_wal_header, encode_meta, encode_record, encode_wal_header, scan_records,
     DiskError, Meta, WalHeader, WAL_HEADER_LEN,
@@ -214,6 +221,8 @@ pub struct DiskOptions {
     /// returns; larger windows defer durability until the window closes
     /// (or [`DiskStore::commit`] / [`Storage::flush`] is called). Values
     /// of 0 are treated as 1.
+    ///
+    /// [`Storage::flush`]: crate::Storage::flush
     pub wal_group_commit: usize,
 }
 
@@ -236,10 +245,15 @@ const ARENA_NAMES: [&str; 2] = ["arena.0", "arena.1"];
 const META_NAMES: [&str; 2] = ["meta.0", "meta.1"];
 const WAL_NAME: &str = "wal";
 
-/// A durable, crash-safe [`Storage`] backend (see the [module
-/// docs](self) for the on-disk protocol).
+/// A durable, crash-safe [`Storage`](crate::Storage) backend (see the
+/// [module docs](self) for the on-disk protocol): [`Metered`] over
+/// [`DiskBackend`].
+pub type DiskStore<V = RealVfs> = Metered<DiskBackend<V>>;
+
+/// The byte-moving backend of [`DiskStore`]: the arena and metadata files,
+/// the WAL and the cell cache.
 #[derive(Debug)]
-pub struct DiskStore<V: Vfs = RealVfs> {
+pub struct DiskBackend<V: Vfs> {
     // ---- always-resident per-cell metadata ----
     /// Arena slot width in bytes.
     stride: usize,
@@ -251,9 +265,8 @@ pub struct DiskStore<V: Vfs = RealVfs> {
     stored: u64,
     /// Bounded payload cache (see [`crate::cache`]).
     cache: CellCache,
-    // ---- observability ----
-    stats: CostStats,
-    transcript: Option<Transcript>,
+    /// The `cache_*` counters (the only ones a backend keeps).
+    cache_stats: CostStats,
     // ---- files ----
     arena: [V::File; 2],
     meta: [V::File; 2],
@@ -301,7 +314,76 @@ impl<V: Vfs> DiskStore<V> {
     /// discarded; a complete record with a bad checksum, a WAL from a
     /// generation newer than any snapshot, or a structurally inconsistent
     /// snapshot+arena pair all surface as [`DiskError::Corrupt`].
-    pub fn open_on(mut vfs: V, opts: DiskOptions) -> Result<Self, DiskError> {
+    pub fn open_on(vfs: V, opts: DiskOptions) -> Result<Self, DiskError> {
+        DiskBackend::open_on(vfs, opts).map(Metered::from)
+    }
+
+    /// Replaces the contents with `cells`, like
+    /// [`Storage::init`](crate::Storage::init), but with a typed error
+    /// instead of a panic when the disk fails.
+    pub fn try_init(&mut self, cells: Vec<Vec<u8>>) -> Result<(), DiskError> {
+        self.backend.try_init(cells)
+    }
+
+    /// Reserves `capacity` uninitialized cells, like
+    /// [`Storage::init_empty`](crate::Storage::init_empty), but with a
+    /// typed error instead of a panic when the disk fails.
+    pub fn try_init_empty(&mut self, capacity: usize) -> Result<(), DiskError> {
+        self.backend.try_init_empty(capacity)
+    }
+
+    /// Forces a checkpoint: commits the open window, syncs the arena,
+    /// writes a metadata snapshot, truncates the WAL. Afterwards recovery
+    /// needs no replay.
+    pub fn checkpoint(&mut self) -> Result<(), DiskError> {
+        let b = &mut self.backend;
+        b.check_poisoned()?;
+        b.light_checkpoint().map_err(|e| b.poison(e))
+    }
+
+    /// Closes the open group-commit window: one contiguous WAL write, the
+    /// covering fsync, then the dirty cache entries flush to the arena and
+    /// unpin. A no-op when the window is empty. Every batch applied before
+    /// this call is durable once it returns.
+    pub fn commit(&mut self) -> Result<(), DiskError> {
+        let b = &mut self.backend;
+        b.check_poisoned()?;
+        b.commit_pending().map_err(|e| b.poison(e))
+    }
+
+    /// Number of applied-but-uncommitted batches in the open window
+    /// (always 0 when `wal_group_commit` ≤ 1).
+    pub fn pending_batches(&self) -> usize {
+        self.backend.pending_batches
+    }
+
+    /// Current checkpoint generation stamp (bumps on every checkpoint).
+    pub fn checkpoint_stamp(&self) -> u64 {
+        self.backend.stamp
+    }
+
+    /// Bytes of committed WAL content (header plus fsync-covered records;
+    /// the open group-commit window is not included).
+    pub fn wal_bytes(&self) -> u64 {
+        self.backend.wal_len
+    }
+
+    /// Whether a previous I/O failure has poisoned the store (all further
+    /// mutations fail fast with [`ServerError::Interrupted`]; reads serve
+    /// cache hits and fail on misses).
+    pub fn is_poisoned(&self) -> bool {
+        self.backend.poisoned
+    }
+
+    /// Number of cells currently resident in the payload cache.
+    pub fn cache_resident(&self) -> usize {
+        self.backend.cache.resident()
+    }
+}
+
+impl<V: Vfs> DiskBackend<V> {
+    /// Opens the backend of [`DiskStore::open_on`], running recovery.
+    fn open_on(mut vfs: V, opts: DiskOptions) -> Result<Self, DiskError> {
         let arena = [vfs.open(ARENA_NAMES[0])?, vfs.open(ARENA_NAMES[1])?];
         let meta = [vfs.open(META_NAMES[0])?, vfs.open(META_NAMES[1])?];
         let wal = vfs.open(WAL_NAME)?;
@@ -415,8 +497,7 @@ impl<V: Vfs> DiskStore<V> {
             lens: m.lens,
             init: m.init,
             stored,
-            stats: CostStats::default(),
-            transcript: None,
+            cache_stats: CostStats::default(),
             arena,
             meta,
             wal,
@@ -446,9 +527,7 @@ impl<V: Vfs> DiskStore<V> {
         Ok(())
     }
 
-    /// Replaces the contents with `cells`, like [`Storage::init`], but
-    /// with a typed error instead of a panic when the disk fails.
-    pub fn try_init(&mut self, cells: Vec<Vec<u8>>) -> Result<(), DiskError> {
+    fn try_init(&mut self, cells: Vec<Vec<u8>>) -> Result<(), DiskError> {
         self.check_poisoned()?;
         let capacity = cells.len();
         let stride = cells.iter().map(Vec::len).max().unwrap_or(0);
@@ -474,10 +553,7 @@ impl<V: Vfs> DiskStore<V> {
         Ok(())
     }
 
-    /// Reserves `capacity` uninitialized cells, like
-    /// [`Storage::init_empty`], but with a typed error instead of a panic
-    /// when the disk fails.
-    pub fn try_init_empty(&mut self, capacity: usize) -> Result<(), DiskError> {
+    fn try_init_empty(&mut self, capacity: usize) -> Result<(), DiskError> {
         self.check_poisoned()?;
         self.stride = 0;
         self.lens = vec![0u32; capacity];
@@ -485,52 +561,6 @@ impl<V: Vfs> DiskStore<V> {
         self.stored = 0;
         self.cache.reset(capacity, 0);
         self.geometry_checkpoint(&[]).map_err(|e| self.poison(e))
-    }
-
-    /// Forces a checkpoint: commits the open window, syncs the arena,
-    /// writes a metadata snapshot, truncates the WAL. Afterwards recovery
-    /// needs no replay.
-    pub fn checkpoint(&mut self) -> Result<(), DiskError> {
-        self.check_poisoned()?;
-        self.light_checkpoint().map_err(|e| self.poison(e))
-    }
-
-    /// Closes the open group-commit window: one contiguous WAL write, the
-    /// covering fsync, then the dirty cache entries flush to the arena and
-    /// unpin. A no-op when the window is empty. Every batch applied before
-    /// this call is durable once it returns.
-    pub fn commit(&mut self) -> Result<(), DiskError> {
-        self.check_poisoned()?;
-        self.commit_pending().map_err(|e| self.poison(e))
-    }
-
-    /// Number of applied-but-uncommitted batches in the open window
-    /// (always 0 when `wal_group_commit` ≤ 1).
-    pub fn pending_batches(&self) -> usize {
-        self.pending_batches
-    }
-
-    /// Current checkpoint generation stamp (bumps on every checkpoint).
-    pub fn checkpoint_stamp(&self) -> u64 {
-        self.stamp
-    }
-
-    /// Bytes of committed WAL content (header plus fsync-covered records;
-    /// the open group-commit window is not included).
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal_len
-    }
-
-    /// Whether a previous I/O failure has poisoned the store (all further
-    /// mutations fail fast with [`ServerError::Interrupted`]; reads serve
-    /// cache hits and fail on misses).
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Number of cells currently resident in the payload cache.
-    pub fn cache_resident(&self) -> usize {
-        self.cache.resident()
     }
 
     fn check_poisoned(&self) -> Result<(), DiskError> {
@@ -567,38 +597,14 @@ impl<V: Vfs> DiskStore<V> {
         self.init[addr >> 6] |= 1 << (addr & 63);
     }
 
-    #[inline]
-    fn check(&self, addr: usize) -> Result<(), ServerError> {
-        if addr < self.lens.len() {
-            Ok(())
-        } else {
-            Err(ServerError::OutOfBounds { addr, capacity: self.lens.len() })
-        }
-    }
-
-    /// Records one round trip's events, building them only when a
-    /// transcript is actually being captured.
-    fn record_with(&mut self, events: impl FnOnce() -> Vec<AccessEvent>) {
-        if let Some(t) = self.transcript.as_mut() {
-            t.push_batch(events());
-        }
-    }
-
     /// The payload bytes of the *initialized* cell at `addr` (whose
-    /// length the caller already loaded), served through the cache
-    /// (refilling from the arena file on a miss).
+    /// length the caller already loaded), served through the bounded
+    /// cache (refilling from the arena file on a miss). Zero-length cells
+    /// are neither hits nor misses.
     #[inline(always)]
     fn cell_bytes(&mut self, addr: usize, len: usize) -> Result<&[u8], ServerError> {
-        if self.cache.is_identity() {
-            // Identity mode: the warm-up invariant makes the slab
-            // authoritative for every initialized cell, so this is a
-            // direct slice — the mirror-read fast path. Zero-length
-            // cells are neither hits nor misses in either mode.
-            self.stats.cache_hits += u64::from(len > 0);
-            return Ok(self.cache.identity_bytes(addr, len));
-        }
         if let Some(slot) = self.cache.lookup(addr) {
-            self.stats.cache_hits += 1;
+            self.cache_stats.cache_hits += 1;
             return Ok(self.cache.slot_bytes(slot, len));
         }
         if len == 0 {
@@ -652,9 +658,9 @@ impl<V: Vfs> DiskStore<V> {
             // unknown provenance. Hits keep working, misses fail typed.
             return Err(ServerError::Interrupted);
         }
-        self.stats.cache_misses += 1;
+        self.cache_stats.cache_misses += 1;
         let (slot, evicted) = self.cache.install(addr, false);
-        self.stats.cache_evictions += evicted;
+        self.cache_stats.cache_evictions += evicted;
         let offset = addr as u64 * self.stride as u64;
         match self.arena[self.active].read_at(offset, self.cache.slot_bytes_mut(slot, len)) {
             Ok(got) if got >= len => Ok(slot),
@@ -729,7 +735,7 @@ impl<V: Vfs> DiskStore<V> {
             self.cache.mark_dirty(slot);
         } else {
             let (slot, evicted) = self.cache.install(addr, true);
-            self.stats.cache_evictions += evicted;
+            self.cache_stats.cache_evictions += evicted;
             self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
         }
     }
@@ -764,7 +770,7 @@ impl<V: Vfs> DiskStore<V> {
             }
         }
         self.cache.clean_all();
-        self.stats.cache_evictions += self.cache.enforce_budget();
+        self.cache_stats.cache_evictions += self.cache.enforce_budget();
         Ok(())
     }
 
@@ -820,7 +826,7 @@ impl<V: Vfs> DiskStore<V> {
         self.pending.clear();
         self.pending_batches = 0;
         self.cache.clean_all();
-        self.stats.cache_evictions += self.cache.enforce_budget();
+        self.cache_stats.cache_evictions += self.cache.enforce_budget();
         self.reset_wal()
     }
 
@@ -895,7 +901,7 @@ impl<V: Vfs> DiskStore<V> {
                 // and a free warm-up in bounded mode (the budget is
                 // re-enforced by the checkpoint tail).
                 let (slot, evicted) = self.cache.install(*addr, false);
-                self.stats.cache_evictions += evicted;
+                self.cache_stats.cache_evictions += evicted;
                 self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
             }
         }
@@ -967,7 +973,7 @@ fn read_all(file: &impl DiskFile) -> Result<Vec<u8>, DiskError> {
     Ok(buf)
 }
 
-impl<V: Vfs> Storage for DiskStore<V> {
+impl<V: Vfs> Backend for DiskBackend<V> {
     fn init(&mut self, cells: Vec<Vec<u8>>) {
         self.try_init(cells).expect("DiskStore::init: checkpoint failed");
     }
@@ -989,26 +995,12 @@ impl<V: Vfs> Storage for DiskStore<V> {
         self.stride
     }
 
-    fn start_recording(&mut self) {
-        if self.transcript.is_none() {
-            self.transcript = Some(Transcript::new());
-        }
+    fn cache_stats(&self) -> CostStats {
+        self.cache_stats
     }
 
-    fn take_transcript(&mut self) -> Transcript {
-        self.transcript.take().unwrap_or_default()
-    }
-
-    fn is_recording(&self) -> bool {
-        self.transcript.is_some()
-    }
-
-    fn stats(&self) -> CostStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = CostStats::default();
+    fn reset_cache_stats(&mut self) {
+        self.cache_stats = CostStats::default();
     }
 
     fn flush(&mut self) -> Result<(), ServerError> {
@@ -1022,182 +1014,47 @@ impl<V: Vfs> Storage for DiskStore<V> {
         Ok(())
     }
 
-    // Reads serve through the bounded cache: hits and zero-length cells
-    // straight from memory, misses with one positioned read from the
-    // active arena slot. Charging is bit-identical to `SimServer` modulo
-    // the `cache_*` counters (compare with `CostStats::sans_cache`).
-
-    fn read_batch_with(
+    // Reads serve through the cache: hits and zero-length cells straight
+    // from memory, misses with one positioned read from the active arena
+    // slot.
+    fn read_with(
         &mut self,
         addrs: &[usize],
         mut visit: impl FnMut(usize, &[u8]),
     ) -> Result<(), ServerError> {
         if self.cache.is_identity() {
-            // Hand-unswitched identity loop: every initialized cell is
-            // resident, so this is the mirror-read hot path — keeping the
-            // mode test out of the loop keeps it at SimServer speed.
+            // Hand-unswitched identity loop: the warm-up invariant makes
+            // the slab authoritative for every initialized cell, so this
+            // is the mirror-read hot path — keeping the mode test out of
+            // the loop keeps it at SimServer speed.
             for (i, &addr) in addrs.iter().enumerate() {
-                self.check(addr)?;
                 if !self.is_init(addr) {
                     return Err(ServerError::Uninitialized { addr });
                 }
                 let len = self.lens[addr] as usize;
-                self.stats.downloads += 1;
-                self.stats.bytes_down += len as u64;
-                self.stats.cache_hits += u64::from(len > 0);
+                self.cache_stats.cache_hits += u64::from(len > 0);
                 visit(i, self.cache.identity_bytes(addr, len));
             }
         } else {
             for (i, &addr) in addrs.iter().enumerate() {
-                self.check(addr)?;
                 if !self.is_init(addr) {
                     return Err(ServerError::Uninitialized { addr });
                 }
                 let len = self.lens[addr] as usize;
-                self.stats.downloads += 1;
-                self.stats.bytes_down += len as u64;
-                let cell = self.cell_bytes(addr, len)?;
-                visit(i, cell);
+                visit(i, self.cell_bytes(addr, len)?);
             }
         }
-        self.stats.round_trips += 1;
-        self.record_with(|| addrs.iter().map(|&a| AccessEvent::Download(a)).collect());
         Ok(())
     }
 
-    fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
-        acc.clear();
-        let mut first = true;
-        for &addr in addrs {
-            self.check(addr)?;
-            if !self.is_init(addr) {
-                return Err(ServerError::Uninitialized { addr });
-            }
-            self.stats.computed += 1;
-            let len = self.lens[addr] as usize;
-            let cell = self.cell_bytes(addr, len)?;
-            if first {
-                acc.extend_from_slice(cell);
-                first = false;
-            } else {
-                debug_assert_eq!(acc.len(), cell.len(), "XOR over unequal cells");
-                xor_slices(acc, cell);
-            }
-        }
-        self.stats.bytes_down += acc.len() as u64;
-        self.stats.round_trips += 1;
-        self.record_with(|| addrs.iter().map(|&a| AccessEvent::Compute(a)).collect());
-        Ok(())
-    }
-
-    fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
+    fn write(&mut self, cells: &[(usize, &[u8])]) -> Result<(), ServerError> {
         if self.poisoned {
             return Err(ServerError::Interrupted);
         }
-        for (addr, _) in &writes {
-            self.check(*addr)?;
-        }
-        if !writes.is_empty() {
-            let borrowed: Vec<(usize, &[u8])> =
-                writes.iter().map(|(a, c)| (*a, c.as_slice())).collect();
-            self.persist_and_apply(&borrowed)?;
-        }
-        for (_, cell) in &writes {
-            self.stats.uploads += 1;
-            self.stats.bytes_up += cell.len() as u64;
-        }
-        self.stats.round_trips += 1;
-        self.record_with(|| writes.iter().map(|&(a, _)| AccessEvent::Upload(a)).collect());
-        Ok(())
-    }
-
-    fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
-        if self.poisoned {
-            return Err(ServerError::Interrupted);
-        }
-        self.check(addr)?;
-        self.persist_and_apply(&[(addr, cell)])?;
-        self.stats.uploads += 1;
-        self.stats.bytes_up += cell.len() as u64;
-        self.stats.round_trips += 1;
-        self.record_with(|| vec![AccessEvent::Upload(addr)]);
-        Ok(())
-    }
-
-    fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError> {
-        if self.poisoned {
-            return Err(ServerError::Interrupted);
-        }
-        if addrs.is_empty() {
-            assert!(flat.is_empty(), "flat bytes without addresses");
-            self.stats.round_trips += 1;
-            self.record_with(Vec::new);
+        if cells.is_empty() {
             return Ok(());
         }
-        assert_eq!(flat.len() % addrs.len(), 0, "flat length not a multiple of cell count");
-        let stride = flat.len() / addrs.len();
-        for &addr in addrs {
-            self.check(addr)?;
-        }
-        let borrowed: Vec<(usize, &[u8])> = addrs
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| (a, &flat[i * stride..(i + 1) * stride]))
-            .collect();
-        self.persist_and_apply(&borrowed)?;
-        self.stats.uploads += addrs.len() as u64;
-        self.stats.bytes_up += flat.len() as u64;
-        self.stats.round_trips += 1;
-        self.record_with(|| addrs.iter().map(|&a| AccessEvent::Upload(a)).collect());
-        Ok(())
-    }
-
-    fn access_batch(
-        &mut self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, ServerError> {
-        if self.poisoned {
-            return Err(ServerError::Interrupted);
-        }
-        for &addr in reads {
-            self.check(addr)?;
-        }
-        for (addr, _) in &writes {
-            self.check(*addr)?;
-        }
-        // Reads are collected (owned) before any write applies, so a
-        // combined read+write of the same address observes the old cell —
-        // and an uninitialized read mid-loop keeps its partial download
-        // charges, exactly like `SimServer`.
-        let mut out = Vec::with_capacity(reads.len());
-        for &addr in reads {
-            if !self.is_init(addr) {
-                return Err(ServerError::Uninitialized { addr });
-            }
-            let len = self.lens[addr] as usize;
-            self.stats.downloads += 1;
-            self.stats.bytes_down += len as u64;
-            let cell = self.cell_bytes(addr, len)?;
-            out.push(cell.to_vec());
-        }
-        if !writes.is_empty() {
-            let borrowed: Vec<(usize, &[u8])> =
-                writes.iter().map(|(a, c)| (*a, c.as_slice())).collect();
-            self.persist_and_apply(&borrowed)?;
-        }
-        for (_, cell) in &writes {
-            self.stats.uploads += 1;
-            self.stats.bytes_up += cell.len() as u64;
-        }
-        self.stats.round_trips += 1;
-        self.record_with(|| {
-            let mut events: Vec<AccessEvent> =
-                reads.iter().map(|&a| AccessEvent::Download(a)).collect();
-            events.extend(writes.iter().map(|&(a, _)| AccessEvent::Upload(a)));
-            events
-        });
-        Ok(out)
+        self.persist_and_apply(cells)
     }
 }
 
@@ -1205,6 +1062,7 @@ impl<V: Vfs> Storage for DiskStore<V> {
 mod tests {
     use super::*;
     use crate::crashsim::CrashSim;
+    use crate::Storage;
 
     struct TempDir(PathBuf);
 
@@ -1391,6 +1249,27 @@ mod tests {
         assert_eq!(store.read(1).unwrap(), vec![1u8; 8]);
         assert_eq!(store.read(5), Err(ServerError::Interrupted));
         assert_eq!(store.write(0, vec![1; 8]), Err(ServerError::Interrupted));
+    }
+
+    #[test]
+    fn failed_refill_charges_only_the_served_prefix() {
+        let sim = CrashSim::new(12);
+        let opts = DiskOptions { cache_bytes: 32, ..DiskOptions::default() };
+        let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
+        store.init(cells(8));
+        assert_eq!(store.read(0).unwrap(), vec![0u8; 8]);
+        sim.plan_crash(sim.events(), 0);
+        assert_eq!(store.write(2, vec![9; 8]), Err(ServerError::Interrupted));
+        // Cell 0 is a hit; cell 5 misses and its refill would touch the
+        // failed file, so only cell 0 was delivered and is charged.
+        store.reset_stats();
+        let got = store.read_batch_with(&[0, 5], |_, _| {});
+        assert_eq!(got, Err(ServerError::Interrupted));
+        let stats = store.stats();
+        assert_eq!((stats.downloads, stats.bytes_down, stats.round_trips), (1, 8, 0));
+        store.reset_stats();
+        assert_eq!(store.xor_cells(&[0, 5]), Err(ServerError::Interrupted));
+        assert_eq!(store.stats().computed, 1);
     }
 
     #[test]

@@ -20,6 +20,14 @@
 //! [`multi::ReplicatedServers`] replicates a database over `D` servers for
 //! the multi-server DP-IR setting of Appendix C.
 //!
+//! The charging rules — bounds checks, [`CostStats`] (including the
+//! partial charge of a batch that fails midway) and the transcript — live
+//! in one place: [`Metered`] implements [`Storage`] once over a
+//! byte-moving [`Backend`] ([`metered`] spells the rules out).
+//! [`ShardedServer`] and [`DiskStore`] are `Metered` over their backends.
+//! `SimServer` keeps its own copy of the rules as the independent oracle
+//! the equivalence suites compare them against.
+//!
 //! [`DiskStore`] is the durable backend: the same [`Storage`] surface over
 //! a write-ahead-logged arena file, so a restarted daemon serves the same
 //! cells ([`disk`] for the protocol, [`crashsim`] for the deterministic
@@ -34,6 +42,7 @@ pub mod cells;
 pub mod crashsim;
 pub mod disk;
 pub mod latency;
+pub mod metered;
 pub mod multi;
 pub mod pool;
 pub mod server;
@@ -48,6 +57,7 @@ pub mod wal;
 pub use crashsim::{CrashFile, CrashSim};
 pub use disk::{DiskFile, DiskOptions, DiskStore, RealVfs, SyncPolicy, Vfs};
 pub use latency::NetworkModel;
+pub use metered::{Backend, Metered};
 pub use multi::ReplicatedServers;
 pub use pool::WorkerPool;
 pub use server::{ServerError, SimServer};

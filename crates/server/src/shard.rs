@@ -1,93 +1,58 @@
-//! The sharded concurrent storage server.
+//! The sharded storage server.
 //!
 //! [`ShardedServer`] splits the flat [`CellStore`] arena into `S`
 //! *contiguous* address ranges. Shard `i` owns addresses
-//! `[i·⌈n/S⌉, min((i+1)·⌈n/S⌉, n))` with its own arena, length table,
-//! init-bitmap and [`CostStats`], guarded by its own lock — so concurrent
-//! clients touching disjoint ranges proceed in parallel, while one client's
-//! batch spanning several shards locks exactly the shards it touches (in
-//! ascending order, so batches never deadlock).
+//! `[i·⌈n/S⌉, min((i+1)·⌈n/S⌉, n))` with its own arena, length table and
+//! init-bitmap. It is [`Metered`] over [`ShardBackend`], which only moves
+//! bytes: bounds checks, [`crate::CostStats`] and the transcript are
+//! charged by the [`crate::metered`] layer.
 //!
 //! # Determinism contract
 //!
-//! Used through the [`Storage`] trait (one client at a time), a
-//! `ShardedServer` is **observationally identical** to [`crate::SimServer`] for
-//! every shard count and worker-pool width: same cells, same `CostStats`
-//! (including the partial charges of a mid-batch failure), same
-//! [`Transcript`] in the same deterministic global order. This holds
-//! because routing decisions, error detection, and transcript building all
-//! happen on the caller thread in request order; the worker pool only fans
-//! out the *data movement* (cell copies, XOR folding) over disjoint
-//! regions, and XOR partials are merged in ascending shard order
-//! (commutativity makes the merge order invisible). The
-//! `shard_equivalence` property suite pins this bit-for-bit.
-//!
-//! Under true concurrency (the `*_shared` methods on `&self`), per-batch
-//! atomicity is per shard: final cell state and aggregate `CostStats` are
-//! deterministic whenever concurrent writers touch disjoint ranges, but
-//! the *order* of transcript batches follows the actual interleaving —
-//! callers wanting a deterministic transcript keep recording off in shared
-//! mode (see the `shard_concurrency` stress suite).
+//! A `ShardedServer` is **observationally identical** to
+//! [`crate::SimServer`] for every shard count and worker-pool width: same
+//! cells, same `CostStats` (including the partial charges of a mid-batch
+//! failure), same [`crate::Transcript`] in the same deterministic global
+//! order. This holds because routing decisions and error detection happen
+//! on the caller thread in request order; the worker pool only fans out
+//! the *data movement* (cell copies, XOR folding) over disjoint regions,
+//! and XOR partials are merged in ascending shard order (commutativity
+//! makes the merge order invisible). The `shard_equivalence` property
+//! suite pins this bit-for-bit.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::ops::Range;
 
+use crate::metered::{copy_in_order, fold_in_order, Backend, Metered, Served};
 use crate::pool::{Task, WorkerPool};
 use crate::server::ServerError;
-use crate::stats::CostStats;
-use crate::storage::Storage;
 use crate::store::{xor_slices, CellStore};
-use crate::transcript::{AccessEvent, Transcript};
 
 /// Minimum batch size (in cells) before an operation fans out over the
 /// worker pool; smaller batches run inline — scoped-thread spawn costs a
 /// few microseconds, which would swamp a handful of memcpys.
 const PAR_MIN_CELLS: usize = 64;
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A shard together with the disjoint `&mut` output-slot views it copies
-/// cells into (the parallel strided-read work unit).
-type ShardCopyJob<'a, 'b> = (&'a mut Shard, Vec<(usize, &'b mut [u8])>);
-
-/// One contiguous address range: its own arena and cost counters.
-#[derive(Debug, Default)]
-struct Shard {
-    store: CellStore,
-    stats: CostStats,
-}
-
-/// Batch-level bookkeeping shared by all shards: round trips (charged once
-/// per batch, not per shard), the XOR result bytes, and the transcript.
-#[derive(Debug, Default)]
-struct BatchState {
-    stats: CostStats,
-    transcript: Option<Transcript>,
-}
-
-impl BatchState {
-    fn record_with(&mut self, events: impl FnOnce() -> Vec<AccessEvent>) {
-        if let Some(t) = self.transcript.as_mut() {
-            t.push_batch(events());
-        }
-    }
-}
+/// Per-shard `(local address, batch position)` lists of one batch.
+type Groups = Vec<Vec<(usize, usize)>>;
 
 /// A passive storage server sharded over contiguous address ranges.
 ///
 /// See the [module docs](self) for the determinism contract. Construct
 /// with [`ShardedServer::new`] (shard count) and optionally
 /// [`ShardedServer::with_pool`] (intra-batch fan-out width); populate via
-/// [`Storage::init`]/[`Storage::init_empty`] exactly like a [`crate::SimServer`].
+/// [`crate::Storage::init`]/[`crate::Storage::init_empty`] exactly like a
+/// [`crate::SimServer`].
+pub type ShardedServer = Metered<ShardBackend>;
+
+/// The byte-moving backend of [`ShardedServer`]: one [`CellStore`] per
+/// contiguous address range, plus the pool that fans large batches out.
 #[derive(Debug)]
-pub struct ShardedServer {
-    shards: Vec<Mutex<Shard>>,
+pub struct ShardBackend {
+    shards: Vec<CellStore>,
     /// Addresses per shard (`⌈capacity / S⌉`; 0 while empty).
     chunk: usize,
     /// Total cell slots across all shards.
     capacity: usize,
-    batch: Mutex<BatchState>,
     pool: WorkerPool,
 }
 
@@ -103,613 +68,252 @@ impl ShardedServer {
     /// An empty server split into `shard_count` contiguous ranges (clamped
     /// to at least 1), with a sequential worker pool.
     pub fn new(shard_count: usize) -> Self {
-        let shard_count = shard_count.max(1);
-        Self {
-            shards: (0..shard_count).map(|_| Mutex::new(Shard::default())).collect(),
+        Metered::from(ShardBackend {
+            shards: vec![CellStore::new(); shard_count.max(1)],
             chunk: 0,
             capacity: 0,
-            batch: Mutex::new(BatchState::default()),
             pool: WorkerPool::single(),
-        }
+        })
     }
 
     /// Sets the worker pool used to fan one batch's data movement across
     /// threads. `WorkerPool::single()` (the default) keeps everything on
     /// the caller thread.
     pub fn with_pool(mut self, pool: WorkerPool) -> Self {
-        self.pool = pool;
+        self.backend.pool = pool;
         self
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.backend.shards.len()
     }
 
     /// The worker pool in force.
     pub fn pool(&self) -> WorkerPool {
-        self.pool
+        self.backend.pool
     }
 
     /// The contiguous global address range shard `s` owns (empty for
     /// trailing shards when the capacity does not fill them).
-    pub fn shard_range(&self, s: usize) -> std::ops::Range<usize> {
-        assert!(s < self.shards.len(), "shard {s} out of range");
-        if self.chunk == 0 {
-            return 0..0;
-        }
-        let start = (s * self.chunk).min(self.capacity);
-        let end = ((s + 1) * self.chunk).min(self.capacity);
-        start..end
+    pub fn shard_range(&self, s: usize) -> Range<usize> {
+        assert!(s < self.shard_count(), "shard {s} out of range");
+        self.backend.range(s)
     }
 
     /// The shard owning `addr`, or `None` when out of bounds.
     pub fn shard_of(&self, addr: usize) -> Option<usize> {
-        (addr < self.capacity).then(|| addr / self.chunk)
-    }
-
-    /// Cost counters attributable to shard `s` alone (round trips and XOR
-    /// result bytes are charged to the batch, not a shard — see
-    /// [`ShardedServer::stats`] for the global view).
-    pub fn shard_stats(&self, s: usize) -> CostStats {
-        lock(&self.shards[s]).stats
-    }
-
-    fn locate(&self, addr: usize) -> Result<(usize, usize), ServerError> {
-        if addr < self.capacity {
-            let s = addr / self.chunk;
-            Ok((s, addr - s * self.chunk))
-        } else {
-            Err(ServerError::OutOfBounds { addr, capacity: self.capacity })
-        }
-    }
-
-    /// Locks every shard the (in-bounds prefix of) `addrs` touches, in
-    /// ascending shard order. Returns one `Option<guard>` slot per shard.
-    fn lock_touched(&self, addrs: &[usize]) -> Vec<Option<MutexGuard<'_, Shard>>> {
-        let mut touched = vec![false; self.shards.len()];
-        for &addr in addrs {
-            // Out-of-bounds addresses abort the walk when reached; shards
-            // needed by earlier in-bounds addresses are still locked.
-            if let Some(s) = self.shard_of(addr) {
-                touched[s] = true;
-            }
-        }
-        touched
-            .into_iter()
-            .enumerate()
-            .map(|(s, need)| need.then(|| lock(&self.shards[s])))
-            .collect()
-    }
-
-    // ---- Shared (`&self`) operations: the concurrent client surface. ----
-    //
-    // Each method is semantically identical to its `Storage` counterpart;
-    // the exclusive trait methods below simply delegate here (locking an
-    // uncontended mutex costs nanoseconds). Lock order is always: touched
-    // shards ascending, then the batch state.
-    //
-    // NOT REENTRANT: these methods hold shard mutexes for the whole batch,
-    // so calling back into the same server from inside a `visit` closure
-    // deadlocks (std::sync::Mutex is not reentrant). The `&mut`-self trait
-    // surface makes such calls unrepresentable; the `&self` surface cannot,
-    // so it documents the rule instead.
-
-    /// [`Storage::read_batch_with`] usable from `&self` (concurrent
-    /// clients).
-    ///
-    /// `visit` runs while this batch's shard locks are held — it must not
-    /// call back into the same server (self-deadlock; see the module
-    /// docs).
-    pub fn read_batch_with_shared(
-        &self,
-        addrs: &[usize],
-        mut visit: impl FnMut(usize, &[u8]),
-    ) -> Result<(), ServerError> {
-        let mut guards = self.lock_touched(addrs);
-        for (i, &addr) in addrs.iter().enumerate() {
-            let (s, local) = self.locate(addr)?;
-            let shard: &mut Shard = guards[s].as_mut().expect("shard locked");
-            let cell = shard
-                .store
-                .get(local)
-                .ok_or(ServerError::Uninitialized { addr })?;
-            shard.stats.downloads += 1;
-            shard.stats.bytes_down += cell.len() as u64;
-            visit(i, cell);
-        }
-        let mut batch = lock(&self.batch);
-        batch.stats.round_trips += 1;
-        batch.record_with(|| addrs.iter().map(|&a| AccessEvent::Download(a)).collect());
-        Ok(())
-    }
-
-    /// [`Storage::read_batch`] usable from `&self`.
-    pub fn read_batch_shared(&self, addrs: &[usize]) -> Result<Vec<Vec<u8>>, ServerError> {
-        let mut out = Vec::with_capacity(addrs.len());
-        self.read_batch_with_shared(addrs, |_, cell| out.push(cell.to_vec()))?;
-        Ok(out)
-    }
-
-    /// Bulk zero-copy download: copies the cells at `addrs` into
-    /// back-to-back slots of `out` (slot `i` at `i * (out.len() /
-    /// addrs.len())`), fanning the per-shard copies over the worker pool
-    /// for large batches. Stats, transcript and error semantics are
-    /// identical to [`Storage::read_batch_with`]; on error the contents of
-    /// `out` are unspecified.
-    ///
-    /// # Panics
-    /// Panics if `out.len()` is not a multiple of `addrs.len()`, or if any
-    /// cell is longer than its slot.
-    pub fn read_batch_strided(&self, addrs: &[usize], out: &mut [u8]) -> Result<(), ServerError> {
-        if addrs.is_empty() {
-            assert!(out.is_empty(), "output bytes without addresses");
-            let mut batch = lock(&self.batch);
-            batch.stats.round_trips += 1;
-            batch.record_with(Vec::new);
-            return Ok(());
-        }
-        assert_eq!(out.len() % addrs.len(), 0, "output length not a multiple of cell count");
-        let stride = out.len() / addrs.len();
-
-        let mut guards = self.lock_touched(addrs);
-        // Validation pass on the caller thread: find the first failing
-        // address (if any) and charge exactly the prefix before it, like
-        // the sequential walk would.
-        let mut failure = None;
-        let mut per_shard: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.shards.len()];
-        for (i, &addr) in addrs.iter().enumerate() {
-            let located = self.locate(addr).and_then(|(s, local)| {
-                let shard: &Shard = guards[s].as_mut().expect("shard locked");
-                if shard.store.is_initialized(local) {
-                    Ok((s, local))
-                } else {
-                    Err(ServerError::Uninitialized { addr })
-                }
-            });
-            match located {
-                Ok((s, local)) => per_shard[s].push((local, i)),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        // Charge + copy the valid prefix. The charged amounts must match
-        // the sequential walk even on failure; sums are order-independent,
-        // so per-shard iteration is fine. Parallel writes into `out` get
-        // disjoint `&mut` slot views, split once on the caller thread.
-        let use_pool = failure.is_none()
-            && !self.pool.is_sequential()
-            && addrs.len() >= PAR_MIN_CELLS
-            && per_shard.iter().filter(|w| !w.is_empty()).count() > 1;
-        let mut slots: Vec<Option<&mut [u8]>> = Vec::with_capacity(addrs.len());
-        let mut rest = out;
-        while rest.len() >= stride && slots.len() < addrs.len() {
-            let (slot, tail) = rest.split_at_mut(stride);
-            slots.push(Some(slot));
-            rest = tail;
-        }
-        let shard_refs = guards.iter_mut().map(|g| g.as_mut().map(|g| &mut **g));
-        if use_pool {
-            // Hand each shard its own (cell, slot-view) list, built on the
-            // caller thread, then fan the copies out.
-            let mut shard_jobs: Vec<ShardCopyJob<'_, '_>> = Vec::new();
-            for (shard, work) in shard_refs.zip(&per_shard) {
-                let Some(shard) = shard else { continue };
-                if work.is_empty() {
-                    continue;
-                }
-                let views: Vec<(usize, &mut [u8])> = work
-                    .iter()
-                    .map(|&(local, slot)| {
-                        (local, slots[slot].take().expect("each slot copied once"))
-                    })
-                    .collect();
-                shard_jobs.push((shard, views));
-            }
-            let tasks: Vec<Task<'_, ()>> = shard_jobs
-                .into_iter()
-                .map(|(shard, views)| {
-                    Box::new(move || {
-                        for (local, view) in views {
-                            let cell = shard.store.get(local).expect("validated");
-                            shard.stats.downloads += 1;
-                            shard.stats.bytes_down += cell.len() as u64;
-                            view[..cell.len()].copy_from_slice(cell);
-                        }
-                    }) as Task<'_, ()>
-                })
-                .collect();
-            self.pool.run(tasks);
-        } else {
-            let mut shards: Vec<Option<&mut Shard>> = shard_refs.collect();
-            for (s, work) in per_shard.iter().enumerate() {
-                for &(local, slot) in work {
-                    let shard = shards[s].as_deref_mut().expect("shard locked");
-                    let cell = shard.store.get(local).expect("validated");
-                    shard.stats.downloads += 1;
-                    shard.stats.bytes_down += cell.len() as u64;
-                    let view = slots[slot].take().expect("each slot copied once");
-                    view[..cell.len()].copy_from_slice(cell);
-                }
-            }
-        }
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        let mut batch = lock(&self.batch);
-        batch.stats.round_trips += 1;
-        batch.record_with(|| addrs.iter().map(|&a| AccessEvent::Download(a)).collect());
-        Ok(())
-    }
-
-    /// [`Storage::write_from`] usable from `&self`.
-    pub fn write_from_shared(&self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
-        let (s, local) = self.locate(addr)?;
-        {
-            let mut shard = lock(&self.shards[s]);
-            shard.stats.uploads += 1;
-            shard.stats.bytes_up += cell.len() as u64;
-            shard.store.set(local, cell);
-        }
-        let mut batch = lock(&self.batch);
-        batch.stats.round_trips += 1;
-        batch.record_with(|| vec![AccessEvent::Upload(addr)]);
-        Ok(())
-    }
-
-    /// [`Storage::write_batch`] usable from `&self`.
-    pub fn write_batch_shared(&self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
-        for (addr, _) in &writes {
-            self.locate(*addr)?;
-        }
-        let addrs: Vec<usize> = writes.iter().map(|&(a, _)| a).collect();
-        let mut guards = self.lock_touched(&addrs);
-        for (addr, cell) in &writes {
-            let (s, local) = self.locate(*addr).expect("pre-checked");
-            let shard: &mut Shard = guards[s].as_mut().expect("shard locked");
-            shard.stats.uploads += 1;
-            shard.stats.bytes_up += cell.len() as u64;
-            shard.store.set(local, cell);
-        }
-        let mut batch = lock(&self.batch);
-        batch.stats.round_trips += 1;
-        batch.record_with(|| addrs.iter().map(|&a| AccessEvent::Upload(a)).collect());
-        Ok(())
-    }
-
-    /// [`Storage::write_batch_strided`] usable from `&self`: the upload
-    /// hot path. Per-shard cell copies fan out over the worker pool for
-    /// large batches.
-    pub fn write_batch_strided_shared(
-        &self,
-        addrs: &[usize],
-        flat: &[u8],
-    ) -> Result<(), ServerError> {
-        if addrs.is_empty() {
-            assert!(flat.is_empty(), "flat bytes without addresses");
-            let mut batch = lock(&self.batch);
-            batch.stats.round_trips += 1;
-            batch.record_with(Vec::new);
-            return Ok(());
-        }
-        assert_eq!(flat.len() % addrs.len(), 0, "flat length not a multiple of cell count");
-        let stride = flat.len() / addrs.len();
-        // Full bounds pre-check: a failing strided write mutates nothing.
-        let mut per_shard: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.shards.len()];
-        for (i, &addr) in addrs.iter().enumerate() {
-            let (s, local) = self.locate(addr)?;
-            per_shard[s].push((local, i));
-        }
-        let mut guards = self.lock_touched(addrs);
-        let shard_refs = guards.iter_mut().map(|g| g.as_mut().map(|g| &mut **g));
-        let use_pool = !self.pool.is_sequential()
-            && addrs.len() >= PAR_MIN_CELLS
-            && per_shard.iter().filter(|w| !w.is_empty()).count() > 1;
-        if use_pool {
-            let tasks: Vec<Task<'_, ()>> = shard_refs
-                .zip(&per_shard)
-                .filter_map(|(shard, work)| shard.map(|s| (s, work)))
-                .filter(|(_, work)| !work.is_empty())
-                .map(|(shard, work)| {
-                    Box::new(move || {
-                        for &(local, i) in work {
-                            let cell = &flat[i * stride..(i + 1) * stride];
-                            shard.stats.uploads += 1;
-                            shard.stats.bytes_up += cell.len() as u64;
-                            shard.store.set(local, cell);
-                        }
-                    }) as Task<'_, ()>
-                })
-                .collect();
-            self.pool.run(tasks);
-        } else {
-            for (shard, work) in shard_refs.zip(&per_shard) {
-                let Some(shard) = shard else { continue };
-                for &(local, i) in work {
-                    let cell = &flat[i * stride..(i + 1) * stride];
-                    shard.stats.uploads += 1;
-                    shard.stats.bytes_up += cell.len() as u64;
-                    shard.store.set(local, cell);
-                }
-            }
-        }
-        let mut batch = lock(&self.batch);
-        batch.stats.round_trips += 1;
-        batch.record_with(|| addrs.iter().map(|&a| AccessEvent::Upload(a)).collect());
-        Ok(())
-    }
-
-    /// [`Storage::xor_cells_into`] usable from `&self`: per-shard XOR
-    /// partials fold in parallel for large batches and merge in ascending
-    /// shard order (XOR's commutativity makes the result bit-identical to
-    /// the sequential left fold).
-    pub fn xor_cells_into_shared(
-        &self,
-        addrs: &[usize],
-        acc: &mut Vec<u8>,
-    ) -> Result<(), ServerError> {
-        acc.clear();
-        let mut guards = self.lock_touched(addrs);
-
-        // Fast-path eligibility: every address valid and every cell equal
-        // length (the documented XOR contract). Anything else takes the
-        // sequential walk, which reproduces SimServer's behavior exactly —
-        // including partial charges before a mid-batch error.
-        let mut eligible = !self.pool.is_sequential() && addrs.len() >= PAR_MIN_CELLS;
-        if eligible {
-            let mut len: Option<usize> = None;
-            for &addr in addrs {
-                let ok = self.locate(addr).ok().and_then(|(s, local)| {
-                    let shard: &Shard = guards[s].as_mut().expect("shard locked");
-                    shard.store.get(local).map(<[u8]>::len)
-                });
-                match (ok, len) {
-                    (Some(l), None) => len = Some(l),
-                    (Some(l), Some(expected)) if l == expected => {}
-                    _ => {
-                        eligible = false;
-                        break;
-                    }
-                }
-            }
-        }
-
-        if eligible {
-            let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-            for &addr in addrs {
-                let (s, local) = self.locate(addr).expect("validated");
-                per_shard[s].push(local);
-            }
-            if per_shard.iter().filter(|w| !w.is_empty()).count() > 1 {
-                let shard_refs = guards.iter_mut().map(|g| g.as_mut().map(|g| &mut **g));
-                let tasks: Vec<Task<'_, Vec<u8>>> = shard_refs
-                    .zip(&per_shard)
-                    .filter_map(|(shard, work)| shard.map(|s| (s, work)))
-                    .filter(|(_, work)| !work.is_empty())
-                    .map(|(shard, work)| {
-                        Box::new(move || {
-                            let mut partial: Vec<u8> = Vec::new();
-                            let mut first = true;
-                            for &local in work {
-                                let cell = shard.store.get(local).expect("validated");
-                                shard.stats.computed += 1;
-                                if first {
-                                    partial.extend_from_slice(cell);
-                                    first = false;
-                                } else {
-                                    xor_slices(&mut partial, cell);
-                                }
-                            }
-                            partial
-                        }) as Task<'_, Vec<u8>>
-                    })
-                    .collect();
-                for partial in self.pool.run(tasks) {
-                    if acc.is_empty() {
-                        acc.extend_from_slice(&partial);
-                    } else {
-                        xor_slices(acc, &partial);
-                    }
-                }
-                let mut batch = lock(&self.batch);
-                batch.stats.bytes_down += acc.len() as u64;
-                batch.stats.round_trips += 1;
-                batch.record_with(|| addrs.iter().map(|&a| AccessEvent::Compute(a)).collect());
-                return Ok(());
-            }
-        }
-
-        // Sequential walk (also handles the error paths).
-        let mut first = true;
-        for &addr in addrs {
-            let (s, local) = self.locate(addr)?;
-            let shard: &mut Shard = guards[s].as_mut().expect("shard locked");
-            let cell = shard
-                .store
-                .get(local)
-                .ok_or(ServerError::Uninitialized { addr })?;
-            shard.stats.computed += 1;
-            if first {
-                acc.extend_from_slice(cell);
-                first = false;
-            } else {
-                debug_assert_eq!(acc.len(), cell.len(), "XOR over unequal cells");
-                xor_slices(acc, cell);
-            }
-        }
-        let mut batch = lock(&self.batch);
-        batch.stats.bytes_down += acc.len() as u64;
-        batch.stats.round_trips += 1;
-        batch.record_with(|| addrs.iter().map(|&a| AccessEvent::Compute(a)).collect());
-        Ok(())
-    }
-
-    /// [`Storage::access_batch`] usable from `&self`.
-    pub fn access_batch_shared(
-        &self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, ServerError> {
-        for &addr in reads {
-            self.locate(addr)?;
-        }
-        for (addr, _) in &writes {
-            self.locate(*addr)?;
-        }
-        let all: Vec<usize> = reads
-            .iter()
-            .copied()
-            .chain(writes.iter().map(|&(a, _)| a))
-            .collect();
-        let mut guards = self.lock_touched(&all);
-        let mut out = Vec::with_capacity(reads.len());
-        for &addr in reads {
-            let (s, local) = self.locate(addr).expect("pre-checked");
-            let shard: &mut Shard = guards[s].as_mut().expect("shard locked");
-            let cell = shard
-                .store
-                .get(local)
-                .ok_or(ServerError::Uninitialized { addr })?;
-            shard.stats.downloads += 1;
-            shard.stats.bytes_down += cell.len() as u64;
-            out.push(cell.to_vec());
-        }
-        for (addr, cell) in &writes {
-            let (s, local) = self.locate(*addr).expect("pre-checked");
-            let shard: &mut Shard = guards[s].as_mut().expect("shard locked");
-            shard.stats.uploads += 1;
-            shard.stats.bytes_up += cell.len() as u64;
-            shard.store.set(local, cell);
-        }
-        let mut batch = lock(&self.batch);
-        batch.stats.round_trips += 1;
-        batch.record_with(|| {
-            let mut events: Vec<AccessEvent> =
-                reads.iter().map(|&a| AccessEvent::Download(a)).collect();
-            events.extend(writes.iter().map(|&(a, _)| AccessEvent::Upload(a)));
-            events
-        });
-        Ok(out)
+        (addr < self.backend.capacity).then(|| self.backend.locate(addr).0)
     }
 }
 
-impl Storage for ShardedServer {
-    fn init(&mut self, cells: Vec<Vec<u8>>) {
-        self.capacity = cells.len();
-        self.chunk = if cells.is_empty() { 0 } else { cells.len().div_ceil(self.shards.len()) };
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let start = (s * self.chunk).min(cells.len());
-            let end = ((s + 1) * self.chunk).min(cells.len());
-            let shard = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
-            shard.store = CellStore::from_cells(&cells[start..end]);
-        }
+impl ShardBackend {
+    fn range(&self, s: usize) -> Range<usize> {
+        (s * self.chunk).min(self.capacity)..((s + 1) * self.chunk).min(self.capacity)
     }
 
-    fn init_empty(&mut self, capacity: usize) {
+    /// The shard and shard-local address of the in-bounds `addr`.
+    #[inline]
+    fn locate(&self, addr: usize) -> (usize, usize) {
+        (addr / self.chunk, addr % self.chunk)
+    }
+
+    fn cell(&self, addr: usize) -> Option<&[u8]> {
+        let (s, local) = self.locate(addr);
+        self.shards[s].get(local)
+    }
+
+    /// The length every cell at `addrs` has, if all are initialized and
+    /// equally long.
+    fn common_len(&self, addrs: &[usize]) -> Option<usize> {
+        let mut lens = addrs.iter().map(|&addr| self.cell(addr).map(<[u8]>::len));
+        let len = lens.next()??;
+        lens.all(|l| l == Some(len)).then_some(len)
+    }
+
+    /// Re-splits `capacity` cells into ranges, building each shard's store
+    /// from its range.
+    fn reshape(&mut self, capacity: usize, store: impl Fn(Range<usize>) -> CellStore) {
         self.capacity = capacity;
-        self.chunk = if capacity == 0 { 0 } else { capacity.div_ceil(self.shards.len()) };
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let start = (s * self.chunk).min(capacity);
-            let end = ((s + 1) * self.chunk).min(capacity);
-            let shard = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
-            shard.store = CellStore::with_capacity(end - start);
-        }
+        self.chunk = capacity.div_ceil(self.shards.len());
+        self.shards = (0..self.shards.len()).map(|s| store(self.range(s))).collect();
     }
 
+    /// The batch grouped by shard, when it is worth fanning over the pool:
+    /// a parallel pool, at least [`PAR_MIN_CELLS`] cells, and more than one
+    /// shard touched.
+    fn fan_out(&self, addrs: &[usize]) -> Option<Groups> {
+        if self.pool.is_sequential() || addrs.len() < PAR_MIN_CELLS {
+            return None;
+        }
+        let mut groups: Groups = vec![Vec::new(); self.shards.len()];
+        for (i, &addr) in addrs.iter().enumerate() {
+            let (s, local) = self.locate(addr);
+            groups[s].push((local, i));
+        }
+        (groups.iter().filter(|g| !g.is_empty()).count() > 1).then_some(groups)
+    }
+}
+
+impl Backend for ShardBackend {
     fn capacity(&self) -> usize {
         self.capacity
     }
 
     fn stored_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| lock(s).store.stored_bytes()).sum()
+        self.shards.iter().map(CellStore::stored_bytes).sum()
     }
 
     fn cell_stride(&self) -> usize {
         // Per-shard strides grow independently, but the max over shards is
         // the longest cell ever seen anywhere — exactly SimServer's stride.
-        self.shards
-            .iter()
-            .map(|s| lock(s).store.stride())
-            .max()
-            .unwrap_or(0)
+        self.shards.iter().map(CellStore::stride).max().unwrap_or(0)
     }
 
-    fn start_recording(&mut self) {
-        let batch = self.batch.get_mut().unwrap_or_else(PoisonError::into_inner);
-        if batch.transcript.is_none() {
-            batch.transcript = Some(Transcript::new());
-        }
+    fn init(&mut self, cells: Vec<Vec<u8>>) {
+        self.reshape(cells.len(), |r| CellStore::from_cells(&cells[r]));
     }
 
-    fn take_transcript(&mut self) -> Transcript {
-        let batch = self.batch.get_mut().unwrap_or_else(PoisonError::into_inner);
-        batch.transcript.take().unwrap_or_default()
+    fn init_empty(&mut self, capacity: usize) {
+        self.reshape(capacity, |r| CellStore::with_capacity(r.len()));
     }
 
-    fn is_recording(&self) -> bool {
-        lock(&self.batch).transcript.is_some()
-    }
-
-    fn stats(&self) -> CostStats {
-        let mut total = lock(&self.batch).stats;
-        for shard in &self.shards {
-            total = total.plus(&lock(shard).stats);
-        }
-        total
-    }
-
-    fn reset_stats(&mut self) {
-        self.batch
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats = CostStats::default();
-        for shard in &mut self.shards {
-            shard.get_mut().unwrap_or_else(PoisonError::into_inner).stats = CostStats::default();
-        }
-    }
-
-    fn read_batch_with(
+    #[inline]
+    fn read_with(
         &mut self,
         addrs: &[usize],
-        visit: impl FnMut(usize, &[u8]),
+        mut visit: impl FnMut(usize, &[u8]),
     ) -> Result<(), ServerError> {
-        self.read_batch_with_shared(addrs, visit)
+        for (i, &addr) in addrs.iter().enumerate() {
+            visit(i, self.cell(addr).ok_or(ServerError::Uninitialized { addr })?);
+        }
+        Ok(())
     }
 
-    fn read_batch_strided(&mut self, addrs: &[usize], out: &mut [u8]) -> Result<(), ServerError> {
-        ShardedServer::read_batch_strided(self, addrs, out)
+    /// Fans the per-shard copies of a large, fully initialized batch over
+    /// the pool; anything else copies in order, stopping where
+    /// `SimServer` would.
+    fn read_strided(&mut self, addrs: &[usize], out: &mut [u8], stride: usize) -> Served {
+        let groups = self
+            .fan_out(addrs)
+            .filter(|_| stride > 0 && addrs.iter().all(|&a| self.cell(a).is_some()));
+        let Some(groups) = groups else {
+            return copy_in_order(self, addrs, out, stride);
+        };
+        // Disjoint `&mut` slot views, split once on the caller thread.
+        let mut slots: Vec<Option<&mut [u8]>> = out.chunks_mut(stride).map(Some).collect();
+        let tasks: Vec<Task<'_, u64>> = self
+            .shards
+            .iter()
+            .zip(groups)
+            .filter(|(_, group)| !group.is_empty())
+            .map(|(store, group)| {
+                let views: Vec<(usize, &mut [u8])> = group
+                    .into_iter()
+                    .map(|(local, i)| (local, slots[i].take().expect("one slot per position")))
+                    .collect();
+                Box::new(move || {
+                    let mut bytes = 0;
+                    for (local, view) in views {
+                        let cell = store.get(local).expect("checked initialized");
+                        view[..cell.len()].copy_from_slice(cell);
+                        bytes += cell.len() as u64;
+                    }
+                    bytes
+                }) as Task<'_, u64>
+            })
+            .collect();
+        let bytes = self.pool.run(tasks).into_iter().sum();
+        Served { cells: addrs.len(), bytes, error: None }
     }
 
-    fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
-        self.write_batch_shared(writes)
+    fn write(&mut self, cells: &[(usize, &[u8])]) -> Result<(), ServerError> {
+        for &(addr, cell) in cells {
+            let (s, local) = self.locate(addr);
+            self.shards[s].set(local, cell);
+        }
+        Ok(())
     }
 
-    fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
-        self.write_from_shared(addr, cell)
-    }
-
-    fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError> {
-        self.write_batch_strided_shared(addrs, flat)
-    }
-
-    fn access_batch(
+    /// The upload hot path: per-shard cell copies fan out over the pool
+    /// for large batches.
+    fn write_strided(
         &mut self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, ServerError> {
-        self.access_batch_shared(reads, writes)
+        addrs: &[usize],
+        flat: &[u8],
+        stride: usize,
+    ) -> Result<(), ServerError> {
+        let cell = |i: usize| &flat[i * stride..(i + 1) * stride];
+        let Some(groups) = self.fan_out(addrs) else {
+            for (i, &addr) in addrs.iter().enumerate() {
+                let (s, local) = self.locate(addr);
+                self.shards[s].set(local, cell(i));
+            }
+            return Ok(());
+        };
+        let tasks: Vec<Task<'_, ()>> = self
+            .shards
+            .iter_mut()
+            .zip(groups)
+            .filter(|(_, group)| !group.is_empty())
+            .map(|(store, group)| {
+                Box::new(move || {
+                    for (local, i) in group {
+                        store.set(local, cell(i));
+                    }
+                }) as Task<'_, ()>
+            })
+            .collect();
+        self.pool.run(tasks);
+        Ok(())
     }
 
-    fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
-        self.xor_cells_into_shared(addrs, acc)
+    /// Folds per-shard XOR partials in parallel for large batches of
+    /// initialized, equal-length cells (the XOR contract) and merges them
+    /// in ascending shard order; anything else folds in order, stopping
+    /// where `SimServer` would.
+    fn xor_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Served {
+        let plan = self
+            .fan_out(addrs)
+            .and_then(|groups| Some((groups, self.common_len(addrs)?)));
+        let Some((groups, len)) = plan else {
+            return fold_in_order(self, addrs, acc);
+        };
+        let tasks: Vec<Task<'_, Vec<u8>>> = self
+            .shards
+            .iter()
+            .zip(groups)
+            .filter(|(_, group)| !group.is_empty())
+            .map(|(store, group)| {
+                Box::new(move || {
+                    let mut partial: Vec<u8> = Vec::new();
+                    for (k, (local, _)) in group.into_iter().enumerate() {
+                        let cell = store.get(local).expect("checked initialized");
+                        if k == 0 {
+                            partial.extend_from_slice(cell);
+                        } else {
+                            xor_slices(&mut partial, cell);
+                        }
+                    }
+                    partial
+                }) as Task<'_, Vec<u8>>
+            })
+            .collect();
+        for partial in self.pool.run(tasks) {
+            if acc.is_empty() {
+                acc.extend_from_slice(&partial);
+            } else {
+                xor_slices(acc, &partial);
+            }
+        }
+        Served { cells: addrs.len(), bytes: (addrs.len() * len) as u64, error: None }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Storage;
 
     fn server_with(shards: usize, n: usize) -> ShardedServer {
         let mut s = ShardedServer::new(shards);
@@ -728,11 +332,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_partition_the_work() {
+    fn cross_shard_read_is_charged_once() {
         let mut s = server_with(2, 8);
         s.read_batch(&[0, 1, 6]).unwrap();
-        assert_eq!(s.shard_stats(0).downloads, 2);
-        assert_eq!(s.shard_stats(1).downloads, 1);
+        assert_eq!((s.shard_of(1), s.shard_of(6)), (Some(0), Some(1)));
         let total = Storage::stats(&s);
         assert_eq!(total.downloads, 3);
         assert_eq!(total.round_trips, 1);

@@ -1,16 +1,15 @@
 //! The zero-copy storage-server trait surface.
 //!
 //! Every scheme in this workspace drives its server through this trait, so
-//! the in-process [`SimServer`], the sharded concurrent
-//! [`crate::ShardedServer`], and any future network-backed server are
-//! interchangeable at setup time. The trait mirrors `SimServer`'s inherent
-//! API method-for-method — including the hot-path zero-copy forms
-//! ([`Storage::read_batch_with`], [`Storage::write_batch_strided`]) — and
-//! every implementation is required to be *observationally equivalent* to
-//! `SimServer`: identical cells, identical [`CostStats`] charging (down to
-//! the partial charges of a mid-batch failure), and an identical
-//! [`Transcript`]. The `shard_equivalence` property suite pins that
-//! contract for `ShardedServer`.
+//! the in-process [`SimServer`], the [`crate::ShardedServer`] and
+//! [`crate::DiskStore`] backends, and the network client of `dps_net` are
+//! interchangeable at setup time. Every implementation is required to be
+//! *observationally equivalent* to `SimServer`: identical cells, identical
+//! [`CostStats`] charging (down to the partial charges of a mid-batch
+//! failure), and an identical [`Transcript`]. The sharded and disk
+//! backends get that charging from the one [`crate::Metered`] layer; the
+//! `shard_equivalence` and `store_equivalence` property suites pin the
+//! contract.
 
 use crate::server::{ServerError, SimServer};
 use crate::stats::CostStats;
