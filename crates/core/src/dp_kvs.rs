@@ -14,15 +14,17 @@
 //!    queries with the two-phase stash dance of Section 6.
 //!
 //! Every KVS operation performs `2·k(n) = 4` bucket queries (two
-//! retrievals, then two updates of which at most one is real — reads and
-//! misses issue the same four), so the transcript shape is independent of
-//! the op, the key, and whether it hits. The two retrievals run as one
-//! planned batch of [`BucketRam::query_batch`], and so do the two updates:
-//! an operation is exactly 4 round trips — read `2·2·depth` cells, write
-//! `2·depth` cells, twice — whatever the op, key, hit or branch. Planning
-//! only moves independent coin draws earlier, so each bucket query's view
-//! `(d_j, o_j)` keeps the distribution the Theorem 7.1 analysis composes.
-//! Bandwidth is
+//! retrievals, then two updates of which at most one is real — reads,
+//! misses and puts that find no room issue the same four), so the
+//! transcript shape is independent of the op, the key, whether it hits and
+//! whether the forest has room. No address of the update pass depends on
+//! data, so all four run as one planned [`BucketRam::query_batch`] over
+//! `[a, b, a, b]`; the client decides the update plans mid-replay, once
+//! the retrievals have decoded. An operation is exactly 2 round trips —
+//! read `4·2·depth` cells, then write `4·depth` cells — whatever the op,
+//! key, hit, branch or error. Planning only moves independent coin draws
+//! earlier, so each bucket query's view `(d_j, o_j)` keeps the
+//! distribution the Theorem 7.1 analysis composes. Bandwidth is
 //! `O(s(n)) = O(log log n)` node cells per operation; server storage is
 //! `O(n)` cells; privacy is `ε = O(k(n)·log n) = O(log n)` with
 //! `δ = negl(n)` from the mapping-scheme failure probability
@@ -132,6 +134,14 @@ enum NodePlan {
     Remove { height: usize, key: u64 },
 }
 
+/// The client state `decide` may change: a narrow view, because the
+/// operation's batch borrows the bucket RAM while its replay runs `decide`.
+struct ClientState<'a> {
+    super_root: &'a mut Vec<(u64, Vec<u8>)>,
+    len: &'a mut usize,
+    super_root_capacity: usize,
+}
+
 /// A DP-KVS client bound to a simulated server.
 #[derive(Debug)]
 pub struct DpKvs<S: Storage = SimServer> {
@@ -207,8 +217,8 @@ impl<S: Storage> DpKvs<S> {
 
     /// Node cells moved per operation: 4 bucket queries, each touching
     /// `3·depth` cells (2 downloads + 1 upload per phase-pair) —
-    /// `O(log log n)` total. They travel in 4 round trips: the two
-    /// retrievals share one read and one write, and so do the two updates.
+    /// `O(log log n)` total. They travel in 2 round trips: all four
+    /// queries share one read and one write.
     pub fn cells_per_op(&self) -> usize {
         4 * 3 * self.config.geometry.depth()
     }
@@ -220,87 +230,79 @@ impl<S: Storage> DpKvs<S> {
         (self.prf1.eval_range(&bytes, n) as usize, self.prf2.eval_range(&bytes, n) as usize)
     }
 
-    fn decode_path(&self, cells: &[Vec<u8>]) -> Result<Vec<Vec<Slot>>, DpKvsError> {
-        cells
-            .iter()
-            .map(|c| {
-                decode_bucket(c, self.config.geometry.node_capacity, self.config.value_size)
-                    .map_err(|e| DpKvsError::CorruptNode(e.to_string()))
-            })
-            .collect()
-    }
-
-    /// The update pass: one batch of two bucket queries over `a` and `b`
-    /// applying the plans in order (at most one is real). The stored-key
-    /// count follows a path insert or remove once the replay has applied
-    /// it, even if the batch's write then fails: the replayed buckets stay
+    /// The shared engine: one batch of four bucket queries over
+    /// `[a, b, a, b]`, `(a, b) = Π(key)`. Queries 0 and 1 are the
+    /// retrievals. When the replay reaches query 2, `decide` inspects the
+    /// two decoded paths (leaf-to-root) and the super root, and returns
+    /// the plans for the two update queries (at most one is real) plus
+    /// the operation's result value; queries 2 and 3 apply them. No
+    /// address depends on data, so the batch is planned whole.
+    ///
+    /// A path that fails to decode or a `decide` error does not cut the
+    /// operation short: the update plans stay fake, the batch finishes
+    /// its write, and the error is returned afterwards, so a failed
+    /// operation moves the same cells as any other. The stored-key count
+    /// follows a path insert or remove once the replay has applied it,
+    /// even if the batch's write then fails: the replayed buckets stay
     /// stashed, so the change stands.
-    fn run_updates(
-        &mut self,
-        (a, b): (usize, usize),
-        (plan_a, plan_b): (NodePlan, NodePlan),
-        rng: &mut ChaChaRng,
-    ) -> Result<(BucketTrace, BucketTrace), DpKvsError> {
-        let capacity = self.config.geometry.node_capacity;
-        let value_size = self.config.value_size;
-        let mut plans = [Some(plan_a), Some(plan_b)];
-        let (mut inserted, mut removed) = (false, false);
-        let mut failure: Option<String> = None;
-        let outcome = self.ram.query_batch(
-            &[a, b],
-            |j, cells| {
-                let Some(plan) = plans[j].take() else { return };
-                let grows = matches!(plan, NodePlan::Insert { .. });
-                let shrinks = matches!(plan, NodePlan::Remove { .. });
-                match apply_plan(cells, plan, capacity, value_size) {
-                    Ok(()) => {
-                        inserted |= grows;
-                        removed |= shrinks;
-                    }
-                    Err(e) => {
-                        failure.get_or_insert(e);
-                    }
-                }
-            },
-            rng,
-        );
-        self.len = self.len + usize::from(inserted) - usize::from(removed);
-        let results = outcome?;
-        match failure {
-            Some(msg) => Err(DpKvsError::CorruptNode(msg)),
-            None => Ok((results[0].1, results[1].1)),
-        }
-    }
-
-    /// The shared four-query engine. `decide` inspects the two decoded
-    /// paths (leaf-to-root) and the super root, and returns the plans for
-    /// the two update queries plus the operation's result value.
     fn operate<R>(
         &mut self,
         key: u64,
         rng: &mut ChaChaRng,
         decide: impl FnOnce(
-            &mut Self,
-            usize,
-            usize,
+            &mut ClientState<'_>,
             &[Vec<Slot>],
             &[Vec<Slot>],
         ) -> Result<(NodePlan, NodePlan, R), DpKvsError>,
     ) -> Result<(R, KvsOpTrace), DpKvsError> {
         let (a, b) = self.buckets_for(key);
-
-        // Retrieval pass: one batch of two identity bucket queries.
-        let retrieved = self.ram.query_batch(&[a, b], |_, _| {}, rng)?;
-        let path_a = self.decode_path(&retrieved[0].0)?;
-        let path_b = self.decode_path(&retrieved[1].0)?;
-        let (retrieve_a, retrieve_b) = (retrieved[0].1, retrieved[1].1);
-
-        let (plan_a, plan_b, result) = decide(self, a, b, &path_a, &path_b)?;
-
-        // Update pass: one more batch of two; at most one plan is real.
-        let (update_a, update_b) = self.run_updates((a, b), (plan_a, plan_b), rng)?;
-
-        Ok((result, KvsOpTrace { retrieve_a, retrieve_b, update_a, update_b }))
+        let capacity = self.config.geometry.node_capacity;
+        let value_size = self.config.value_size;
+        let mut state = ClientState {
+            super_root: &mut self.super_root,
+            len: &mut self.len,
+            super_root_capacity: self.config.geometry.super_root_capacity,
+        };
+        let mut decide = Some(decide);
+        let mut paths: [Vec<Vec<Slot>>; 2] = Default::default();
+        let mut plans = [NodePlan::Fake, NodePlan::Fake];
+        let mut decided: Result<Option<R>, DpKvsError> = Ok(None);
+        let outcome = self.ram.query_batch(
+            &[a, b, a, b],
+            |j, cells| {
+                if j < 2 {
+                    match decode_path(cells, capacity, value_size) {
+                        Ok(path) => paths[j] = path,
+                        Err(e) => decided = Err(e),
+                    }
+                    return;
+                }
+                if let (Some(decide), Ok(_)) = (decide.take(), &decided) {
+                    decided =
+                        decide(&mut state, &paths[0], &paths[1]).map(|(plan_a, plan_b, result)| {
+                            plans = [plan_a, plan_b];
+                            Some(result)
+                        });
+                }
+                let plan = std::mem::replace(&mut plans[j - 2], NodePlan::Fake);
+                let grows = matches!(plan, NodePlan::Insert { .. });
+                let shrinks = matches!(plan, NodePlan::Remove { .. });
+                match apply_plan(cells, plan, capacity, value_size) {
+                    Ok(()) => *state.len = *state.len + usize::from(grows) - usize::from(shrinks),
+                    Err(e) => decided = Err(DpKvsError::CorruptNode(e)),
+                }
+            },
+            rng,
+        );
+        let results = outcome?;
+        let result = decided?.expect("a successful batch replays every query");
+        let trace = KvsOpTrace {
+            retrieve_a: results[0].1,
+            retrieve_b: results[1].1,
+            update_a: results[2].1,
+            update_b: results[3].1,
+        };
+        Ok((result, trace))
     }
 
     fn find_in_path(path: &[Vec<Slot>], key: u64) -> Option<(usize, Vec<u8>)> {
@@ -323,12 +325,13 @@ impl<S: Storage> DpKvs<S> {
         key: u64,
         rng: &mut ChaChaRng,
     ) -> Result<(Option<Vec<u8>>, KvsOpTrace), DpKvsError> {
-        self.operate(key, rng, |kvs, _a, _b, path_a, path_b| {
+        self.operate(key, rng, |state, path_a, path_b| {
             let found = Self::find_in_path(path_a, key)
                 .or_else(|| Self::find_in_path(path_b, key))
                 .map(|(_, v)| v)
                 .or_else(|| {
-                    kvs.super_root
+                    state
+                        .super_root
                         .iter()
                         .find(|(k, _)| *k == key)
                         .map(|(_, v)| v.clone())
@@ -356,7 +359,7 @@ impl<S: Storage> DpKvs<S> {
             });
         }
         let capacity = self.config.geometry.node_capacity;
-        let (_, trace) = self.operate(key, rng, move |kvs, _a, _b, path_a, path_b| {
+        let (_, trace) = self.operate(key, rng, move |state, path_a, path_b| {
             // Existing key: in-place update wherever it lives.
             if let Some((height, _)) = Self::find_in_path(path_a, key) {
                 return Ok((NodePlan::Update { height, key, value }, NodePlan::Fake, ()));
@@ -364,7 +367,7 @@ impl<S: Storage> DpKvs<S> {
             if let Some((height, _)) = Self::find_in_path(path_b, key) {
                 return Ok((NodePlan::Fake, NodePlan::Update { height, key, value }, ()));
             }
-            if let Some(entry) = kvs.super_root.iter_mut().find(|(k, _)| *k == key) {
+            if let Some(entry) = state.super_root.iter_mut().find(|(k, _)| *k == key) {
                 entry.1 = value;
                 return Ok((NodePlan::Fake, NodePlan::Fake, ()));
             }
@@ -380,9 +383,9 @@ impl<S: Storage> DpKvs<S> {
                     Ok((NodePlan::Fake, NodePlan::Insert { height, key, value }, ()))
                 }
                 None => {
-                    if kvs.super_root.len() < kvs.config.geometry.super_root_capacity {
-                        kvs.super_root.push((key, value));
-                        kvs.len += 1;
+                    if state.super_root.len() < state.super_root_capacity {
+                        state.super_root.push((key, value));
+                        *state.len += 1;
                         Ok((NodePlan::Fake, NodePlan::Fake, ()))
                     } else {
                         Err(DpKvsError::CapacityExhausted)
@@ -396,22 +399,37 @@ impl<S: Storage> DpKvs<S> {
     /// Removes `key`, returning its value (an extension beyond the paper's
     /// read/overwrite interface; same four-query transcript shape).
     pub fn remove(&mut self, key: u64, rng: &mut ChaChaRng) -> Result<Option<Vec<u8>>, DpKvsError> {
-        let (result, _) = self.operate(key, rng, |kvs, _a, _b, path_a, path_b| {
+        let (result, _) = self.operate(key, rng, |state, path_a, path_b| {
             if let Some((height, value)) = Self::find_in_path(path_a, key) {
                 return Ok((NodePlan::Remove { height, key }, NodePlan::Fake, Some(value)));
             }
             if let Some((height, value)) = Self::find_in_path(path_b, key) {
                 return Ok((NodePlan::Fake, NodePlan::Remove { height, key }, Some(value)));
             }
-            if let Some(pos) = kvs.super_root.iter().position(|(k, _)| *k == key) {
-                kvs.len -= 1;
-                let (_, value) = kvs.super_root.swap_remove(pos);
+            if let Some(pos) = state.super_root.iter().position(|(k, _)| *k == key) {
+                *state.len -= 1;
+                let (_, value) = state.super_root.swap_remove(pos);
                 return Ok((NodePlan::Fake, NodePlan::Fake, Some(value)));
             }
             Ok((NodePlan::Fake, NodePlan::Fake, None))
         })?;
         Ok(result)
     }
+}
+
+/// Decodes a path's node cells (leaf-to-root) into their slots.
+fn decode_path(
+    cells: &[Vec<u8>],
+    capacity: usize,
+    value_size: usize,
+) -> Result<Vec<Vec<Slot>>, DpKvsError> {
+    cells
+        .iter()
+        .map(|c| {
+            decode_bucket(c, capacity, value_size)
+                .map_err(|e| DpKvsError::CorruptNode(e.to_string()))
+        })
+        .collect()
 }
 
 /// Applies one update plan to a path's node cells (leaf-to-root).
@@ -537,7 +555,7 @@ mod tests {
     }
 
     /// Transcript-shape invariance: hits, misses, puts and removes all
-    /// issue exactly 4 bucket queries in 2 batches = 4 round trips, and
+    /// issue exactly one batch of 4 bucket queries = 2 round trips, and
     /// move the same number of cells.
     #[test]
     fn op_cost_is_shape_invariant() {
@@ -563,7 +581,7 @@ mod tests {
             let diff = kvs.server_stats().since(&before);
             assert_eq!(diff.downloads, 4 * 2 * depth, "{label}");
             assert_eq!(diff.uploads, 4 * depth, "{label}");
-            assert_eq!(diff.round_trips, 4, "{label}");
+            assert_eq!(diff.round_trips, 2, "{label}");
         };
         check(&mut kvs, &mut rng, "hit");
         check(&mut kvs, &mut rng, "miss");

@@ -1,11 +1,11 @@
-//! Concurrency stress for the wire path: the daemon's
-//! one-thread-per-connection model must honor the same contract as the
-//! in-process `shard_concurrency` suite — *determinism may not depend on
-//! who else is running*. Concurrent clients on disjoint address ranges
-//! lose no writes, observe their own writes, and leave final cells and
-//! aggregate model stats byte-identical across reruns; readers never see
-//! a torn batch while writers rewrite the same shard, because per-batch
-//! shard locking happens below the transport. Runs under both
+//! Concurrency stress for the wire path: concurrent connections to one
+//! daemon must honor the determinism contract — *determinism may not
+//! depend on who else is running*. Concurrent clients on disjoint address
+//! ranges lose no writes, observe their own writes, and leave final cells
+//! and aggregate model stats byte-identical across reruns; readers never
+//! see a torn batch while writers rewrite the same shard, because the
+//! daemon's event loop owns the server and applies each batch whole
+//! before it dispatches the next frame. Runs under both
 //! `RUST_TEST_THREADS=1` and the default parallelism in CI.
 
 use dps_net::{NetDaemon, RemoteServer};

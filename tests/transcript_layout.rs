@@ -5,9 +5,10 @@
 //! suite pins them to the recorded `SimServer` transcript, event for event.
 
 use dp_storage::core::bucket_ram::BucketTrace;
-use dp_storage::core::dp_kvs::{DpKvs, DpKvsConfig};
+use dp_storage::core::dp_kvs::{DpKvs, DpKvsConfig, DpKvsError};
 use dp_storage::core::dp_ram::{DpRam, DpRamConfig};
 use dp_storage::crypto::ChaChaRng;
+use dp_storage::hashing::ForestGeometry;
 use dp_storage::server::{AccessEvent, SimServer, Transcript};
 use dp_storage::workloads::generators::database;
 use dp_storage::workloads::Op;
@@ -48,7 +49,7 @@ fn dp_ram_transcript_is_the_typed_trace() {
 /// The two round trips of one batch of bucket queries, from their traces.
 fn batch_events(
     path: impl Fn(usize) -> Vec<usize>,
-    queries: [BucketTrace; 2],
+    queries: &[BucketTrace],
 ) -> [Vec<AccessEvent>; 2] {
     let read = queries
         .iter()
@@ -81,11 +82,91 @@ fn dp_kvs_transcript_is_the_typed_trace() {
             } else {
                 kvs.get_traced(key, &mut rng).unwrap().1
             };
-            expected.extend(batch_events(path, [trace.retrieve_a, trace.retrieve_b]));
-            expected.extend(batch_events(path, [trace.update_a, trace.update_b]));
+            expected.extend(batch_events(
+                path,
+                &[trace.retrieve_a, trace.retrieve_b, trace.update_a, trace.update_b],
+            ));
         }
         let seen = batches(&kvs.server_mut().take_transcript());
-        assert_eq!(seen.len(), 4 * 80, "p = {p}: 4 round trips per op");
+        assert_eq!(seen.len(), 2 * 80, "p = {p}: 2 round trips per op");
         assert_eq!(seen, expected, "p = {p}");
+    }
+}
+
+/// The last operation of each variant below on one tiny, full forest.
+#[derive(Debug, Clone, Copy)]
+enum LastOp {
+    GetHit,
+    PutUpdate,
+    Remove,
+    GetMiss,
+    PutNoRoom,
+}
+
+/// Op hiding by exact coupling. The RNG use of a DP-KVS operation does not
+/// depend on the op, the key's presence or the outcome, so from the same
+/// seed and prefix every operation on the same bucket pair must give the
+/// same transcript, event for event: a hit, an update, a remove, a miss,
+/// and a put that fails with `CapacityExhausted`.
+#[test]
+fn dp_kvs_ops_are_coupled_including_a_failed_put() {
+    let geometry = ForestGeometry {
+        n_buckets: 2,
+        leaves_per_tree: 2,
+        node_capacity: 1,
+        super_root_capacity: 1,
+    };
+    let slots = geometry.total_nodes() * geometry.node_capacity + geometry.super_root_capacity;
+    let depth = geometry.depth();
+    for seed in 0..20u64 {
+        let run = |last: LastOp| {
+            let mut rng = ChaChaRng::seed_from_u64(seed);
+            let config = DpKvsConfig { geometry, value_size: 4, stash_probability: 0.3 };
+            let mut kvs = DpKvs::setup(config, SimServer::new(), &mut rng).unwrap();
+            // Fill every slot of the paths and the super root; puts that
+            // find no room along the way fail and change nothing.
+            let mut stored = Vec::new();
+            for key in 0u64.. {
+                if kvs.len() == slots {
+                    break;
+                }
+                match kvs.put(key, vec![1; 4], &mut rng) {
+                    Ok(()) => stored.push(key),
+                    Err(DpKvsError::CapacityExhausted) => {}
+                    Err(e) => panic!("seed {seed}: put {key}: {e}"),
+                }
+            }
+            let k = stored[0];
+            let fresh = ((1u64 << 32)..)
+                .find(|&u| kvs.buckets_for(u) == kvs.buckets_for(k))
+                .unwrap();
+            kvs.server_mut().start_recording();
+            let before = kvs.server_stats();
+            match last {
+                LastOp::GetHit => assert_eq!(kvs.get(k, &mut rng).unwrap(), Some(vec![1; 4])),
+                LastOp::PutUpdate => kvs.put(k, vec![2; 4], &mut rng).unwrap(),
+                LastOp::Remove => assert_eq!(kvs.remove(k, &mut rng).unwrap(), Some(vec![1; 4])),
+                LastOp::GetMiss => assert_eq!(kvs.get(fresh, &mut rng).unwrap(), None),
+                LastOp::PutNoRoom => assert!(
+                    matches!(
+                        kvs.put(fresh, vec![3; 4], &mut rng),
+                        Err(DpKvsError::CapacityExhausted)
+                    ),
+                    "seed {seed}: a full forest must refuse a fresh key"
+                ),
+            }
+            let cost = kvs.server_stats().since(&before);
+            (batches(&kvs.server_mut().take_transcript()), cost)
+        };
+        let (reference, _) = run(LastOp::GetHit);
+        for last in [LastOp::PutUpdate, LastOp::Remove, LastOp::GetMiss, LastOp::PutNoRoom] {
+            let (seen, cost) = run(last);
+            assert_eq!(seen, reference, "seed {seed}: {last:?} differs from a hit");
+            if let LastOp::PutNoRoom = last {
+                assert_eq!(cost.downloads, 8 * depth as u64, "seed {seed}");
+                assert_eq!(cost.uploads, 4 * depth as u64, "seed {seed}");
+                assert_eq!(cost.round_trips, 2, "seed {seed}");
+            }
+        }
     }
 }
