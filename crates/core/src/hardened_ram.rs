@@ -313,6 +313,7 @@ impl HardenedDpRam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_server::Storage;
 
     fn blocks(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| vec![(i % 251) as u8; 16]).collect()

@@ -210,6 +210,7 @@ impl MultiServerDpIr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_server::Storage;
 
     fn build(n: usize, d: usize, k: usize, alpha: f64) -> MultiServerDpIr {
         let blocks: Vec<Vec<u8>> = (0..n).map(|i| vec![(i % 251) as u8; 8]).collect();

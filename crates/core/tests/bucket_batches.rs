@@ -9,7 +9,7 @@
 
 use dps_core::bucket_ram::{BucketRam, BucketTrace};
 use dps_crypto::ChaChaRng;
-use dps_server::{AccessEvent, SimServer};
+use dps_server::{AccessEvent, SimServer, Storage};
 use proptest::prelude::*;
 
 const CELL: usize = 4;

@@ -3,10 +3,10 @@
 //! A scheme that re-encrypts a batch of cells does three separable things:
 //! draw per-cell randomness, transform bytes, and write results into a
 //! flat strided scratch buffer (the shape
-//! [`crate::SimServer::write_batch_strided`] consumes). Only the byte
+//! [`crate::Storage::write_batch_strided`] consumes). Only the byte
 //! transformation is compute-heavy, and every cell is independent — so
 //! these helpers draw **all randomness up-front on the caller thread**
-//! ([`ChaChaRng::draw_nonces`]) and fan the per-cell work across a
+//! ([`dps_crypto::ChaChaRng::draw_nonces`]) and fan the per-cell work across a
 //! [`WorkerPool`] in contiguous chunks. The output is byte-identical to
 //! the sequential loop for every pool width and chunking, which the
 //! `parallel_crypto` test suite pins against `encrypt_into` /
@@ -251,7 +251,7 @@ pub fn open_batch_strided(
 /// Computes one Poly1305 tag per message under per-cell one-time keys,
 /// fanned across the pool. `messages` holds `keys.len()` equal-length
 /// messages back-to-back; tag `i` lands in `tags[i]`. Identical to a
-/// sequential [`Poly1305`] loop.
+/// sequential [`poly1305::Poly1305`] loop.
 ///
 /// # Panics
 /// Panics on inconsistent flat lengths.

@@ -13,7 +13,7 @@
 //! overhead claim in the paper is measurable.
 //!
 //! For PIR-style baselines the model is extended with one *active* server
-//! operation, [`SimServer::xor_cells`], which models "the server operates on
+//! operation, [`Storage::xor_cells`], which models "the server operates on
 //! these records" and is charged one operation per record touched — exactly
 //! the accounting used by Theorems 3.3/3.4.
 //!
@@ -24,9 +24,11 @@
 //! partial charge of a batch that fails midway) and the transcript — live
 //! in one place: [`Metered`] implements [`Storage`] once over a
 //! byte-moving [`Backend`] ([`metered`] spells the rules out).
-//! [`ShardedServer`] and [`DiskStore`] are `Metered` over their backends.
-//! `SimServer` keeps its own copy of the rules as the independent oracle
-//! the equivalence suites compare them against.
+//! [`SimServer`] is `Metered<CellStore>`, and [`ShardedServer`] and
+//! [`DiskStore`] are `Metered` over their backends. The independent oracle
+//! is test-only: the `store_equivalence` suite's `ReferenceServer`, a
+//! per-cell model with its own charging and recording order, against
+//! which every backend is checked.
 //!
 //! [`DiskStore`] is the durable backend: the same [`Storage`] surface over
 //! a write-ahead-logged arena file, so a restarted daemon serves the same

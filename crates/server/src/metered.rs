@@ -19,11 +19,12 @@
 //! - **Transcript.** Each successful batch records one transcript batch, in
 //!   request order; nothing is recorded for a failed batch.
 //!
-//! These are exactly the rules of [`crate::SimServer`], which keeps its
-//! own independent copy as the oracle the `shard_equivalence`,
-//! `store_equivalence` and `disk_twins` suites compare `Metered` backends
-//! against. [`crate::ShardedServer`] and [`crate::DiskStore`] are
-//! `Metered` over their backends.
+//! Every in-process server is `Metered` over its backend:
+//! [`crate::SimServer`] over one [`crate::CellStore`],
+//! [`crate::ShardedServer`] over per-range stores, [`crate::DiskStore`]
+//! over a logged arena file. The independent oracle for these rules is
+//! test-only: the `store_equivalence` suite's `ReferenceServer`, with its
+//! own charging and recording order.
 
 use crate::server::ServerError;
 use crate::stats::CostStats;
@@ -165,7 +166,7 @@ pub(crate) fn fold_in_order<B: Backend + ?Sized>(
 
 /// A [`Backend`] behind the balls-and-bins metering rules (see the
 /// [module docs](self)).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Metered<B> {
     pub(crate) backend: B,
     stats: CostStats,

@@ -1,8 +1,7 @@
 //! The simulated passive storage server.
 
-use crate::stats::CostStats;
-use crate::store::{xor_slices, CellStore};
-use crate::transcript::{AccessEvent, Transcript};
+use crate::metered::Metered;
+use crate::store::CellStore;
 
 /// Errors returned by server operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,302 +46,39 @@ impl std::fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-/// An in-process passive storage server (Definition 3.1).
+/// An in-process passive storage server (Definition 3.1): the
+/// balls-and-bins rules of [`Metered`] over one flat [`CellStore`] arena.
 ///
 /// Cells are opaque byte strings. The server never interprets them; the
-/// only operations are batched downloads and uploads (plus the PIR-style
-/// [`SimServer::xor_cells`] active operation). Each batch counts as one
-/// round trip.
-///
-/// Storage is a flat arena ([`CellStore`]): one contiguous allocation,
-/// fixed cell stride. The owning read API ([`SimServer::read_batch`])
-/// copies cells out for callers that need ownership; the zero-copy API
-/// ([`SimServer::read_batch_with`], [`SimServer::read_into`]) hands out
-/// borrowed slices / copies into caller scratch without any per-cell heap
-/// traffic — that is the hot path every scheme in this workspace uses.
-#[derive(Debug, Clone, Default)]
-pub struct SimServer {
-    cells: CellStore,
-    stats: CostStats,
-    transcript: Option<Transcript>,
-}
+/// only operations are batched downloads and uploads, plus the PIR-style
+/// [`xor_cells`](crate::Storage::xor_cells) active operation. Each batch
+/// counts as one round trip. The zero-copy reads
+/// ([`read_batch_with`](crate::Storage::read_batch_with),
+/// [`read_into`](crate::Storage::read_into)) hand out slices borrowed from
+/// the arena without any per-cell heap traffic — the hot path every scheme
+/// in this workspace uses.
+pub type SimServer = Metered<CellStore>;
 
 impl SimServer {
-    /// Creates an empty server with no cells. Call [`SimServer::init`] (or a
-    /// scheme's setup) to populate it.
+    /// Creates an empty server with no cells. Call
+    /// [`init`](crate::Storage::init) (or a scheme's setup) to populate it.
     pub fn new() -> Self {
-        Self::default()
+        Metered::from(CellStore::new())
     }
+}
 
-    /// Replaces the server contents with `cells`. Initialization is not
-    /// charged to the query-cost counters (the paper treats setup
-    /// separately from per-query overhead).
-    pub fn init(&mut self, cells: Vec<Vec<u8>>) {
-        self.cells = CellStore::from_cells(&cells);
-    }
-
-    /// Reserves `capacity` uninitialized cells.
-    pub fn init_empty(&mut self, capacity: usize) {
-        self.cells = CellStore::with_capacity(capacity);
-    }
-
-    /// Number of cells the server stores.
-    pub fn capacity(&self) -> usize {
-        self.cells.capacity()
-    }
-
-    /// Returns true if no cells are allocated.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Total bytes currently stored (server-storage measure).
-    pub fn stored_bytes(&self) -> u64 {
-        self.cells.stored_bytes()
-    }
-
-    /// The fixed cell stride of the backing arena (0 before any init).
-    pub fn cell_stride(&self) -> usize {
-        self.cells.stride()
-    }
-
-    /// Starts recording the adversarial transcript.
-    pub fn start_recording(&mut self) {
-        if self.transcript.is_none() {
-            self.transcript = Some(Transcript::new());
-        }
-    }
-
-    /// Stops recording and returns the transcript captured so far.
-    pub fn take_transcript(&mut self) -> Transcript {
-        self.transcript.take().unwrap_or_default()
-    }
-
-    /// Whether a transcript is being recorded.
-    pub fn is_recording(&self) -> bool {
-        self.transcript.is_some()
-    }
-
-    /// Cumulative cost counters.
-    pub fn stats(&self) -> CostStats {
-        self.stats
-    }
-
-    /// Resets cost counters (e.g. after setup, before measurement).
-    pub fn reset_stats(&mut self) {
-        self.stats = CostStats::default();
-    }
-
-    fn check(&self, addr: usize) -> Result<(), ServerError> {
-        if addr < self.cells.capacity() {
-            Ok(())
-        } else {
-            Err(ServerError::OutOfBounds { addr, capacity: self.cells.capacity() })
-        }
-    }
-
-    /// Records one round trip's events, building them only when a
-    /// transcript is actually being captured (the common no-transcript case
-    /// pays nothing).
-    fn record_with(&mut self, events: impl FnOnce() -> Vec<AccessEvent>) {
-        if let Some(t) = self.transcript.as_mut() {
-            t.push_batch(events());
-        }
-    }
-
-    /// Downloads the cells at `addrs` in one round trip, handing each cell
-    /// to `visit` as a slice borrowed straight from the storage arena —
-    /// zero-copy, no per-cell allocation. `visit` receives the cell's
-    /// position within the batch and its bytes.
-    ///
-    /// This is the hot-path form of [`SimServer::read_batch`]; stats and
-    /// transcript accounting are identical.
-    #[inline]
-    pub fn read_batch_with(
-        &mut self,
-        addrs: &[usize],
-        mut visit: impl FnMut(usize, &[u8]),
-    ) -> Result<(), ServerError> {
-        for (i, &addr) in addrs.iter().enumerate() {
-            self.check(addr)?;
-            let cell = self.cells.get(addr).ok_or(ServerError::Uninitialized { addr })?;
-            self.stats.downloads += 1;
-            self.stats.bytes_down += cell.len() as u64;
-            visit(i, cell);
-        }
-        self.stats.round_trips += 1;
-        self.record_with(|| addrs.iter().map(|&a| AccessEvent::Download(a)).collect());
-        Ok(())
-    }
-
-    /// Downloads the cells at `addrs` in one round trip.
-    pub fn read_batch(&mut self, addrs: &[usize]) -> Result<Vec<Vec<u8>>, ServerError> {
-        let mut out = Vec::with_capacity(addrs.len());
-        self.read_batch_with(addrs, |_, cell| out.push(cell.to_vec()))?;
-        Ok(out)
-    }
-
-    /// Downloads a single cell (one round trip).
-    pub fn read(&mut self, addr: usize) -> Result<Vec<u8>, ServerError> {
-        Ok(self.read_batch(&[addr])?.pop().expect("one cell requested"))
-    }
-
-    /// Downloads a single cell (one round trip) into the caller's scratch
-    /// buffer, returning the cell's length. No heap allocation.
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than the cell.
-    pub fn read_into(&mut self, addr: usize, out: &mut [u8]) -> Result<usize, ServerError> {
-        let mut len = 0;
-        self.read_batch_with(&[addr], |_, cell| {
-            out[..cell.len()].copy_from_slice(cell);
-            len = cell.len();
-        })?;
-        Ok(len)
-    }
-
-    /// Uploads the given cells in one round trip.
-    pub fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
-        for (addr, _) in &writes {
-            self.check(*addr)?;
-        }
-        for (addr, cell) in &writes {
-            self.stats.uploads += 1;
-            self.stats.bytes_up += cell.len() as u64;
-            self.cells.set(*addr, cell);
-        }
-        self.stats.round_trips += 1;
-        self.record_with(|| writes.iter().map(|&(a, _)| AccessEvent::Upload(a)).collect());
-        Ok(())
-    }
-
-    /// Uploads a single cell (one round trip).
-    pub fn write(&mut self, addr: usize, cell: Vec<u8>) -> Result<(), ServerError> {
-        self.write_from(addr, &cell)
-    }
-
-    /// Uploads a single borrowed cell (one round trip). The hot-path form
-    /// of [`SimServer::write`]: the caller keeps ownership of its scratch
-    /// buffer and no heap allocation happens.
-    #[inline]
-    pub fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
-        self.check(addr)?;
-        self.stats.uploads += 1;
-        self.stats.bytes_up += cell.len() as u64;
-        self.cells.set(addr, cell);
-        self.stats.round_trips += 1;
-        self.record_with(|| vec![AccessEvent::Upload(addr)]);
-        Ok(())
-    }
-
-    /// Uploads equal-length cells packed back-to-back in `flat` (cell `i`
-    /// at `i * (flat.len() / addrs.len())`) in one round trip. The
-    /// hot-path form of [`SimServer::write_batch`] for schemes that
-    /// re-encrypt a batch into one flat scratch buffer.
-    ///
-    /// # Panics
-    /// Panics if `flat.len()` is not a multiple of `addrs.len()`.
-    #[inline]
-    pub fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError> {
-        if addrs.is_empty() {
-            assert!(flat.is_empty(), "flat bytes without addresses");
-            self.stats.round_trips += 1;
-            self.record_with(Vec::new);
-            return Ok(());
-        }
-        assert_eq!(flat.len() % addrs.len(), 0, "flat length not a multiple of cell count");
-        let stride = flat.len() / addrs.len();
-        for &addr in addrs {
-            self.check(addr)?;
-        }
-        for (i, &addr) in addrs.iter().enumerate() {
-            let cell = &flat[i * stride..(i + 1) * stride];
-            self.stats.uploads += 1;
-            self.stats.bytes_up += cell.len() as u64;
-            self.cells.set(addr, cell);
-        }
-        self.stats.round_trips += 1;
-        self.record_with(|| addrs.iter().map(|&a| AccessEvent::Upload(a)).collect());
-        Ok(())
-    }
-
-    /// Downloads `reads` and uploads `writes` in a single combined round
-    /// trip. Used by schemes that pipeline a download and an overwrite.
-    pub fn access_batch(
-        &mut self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, ServerError> {
-        for &addr in reads {
-            self.check(addr)?;
-        }
-        for (addr, _) in &writes {
-            self.check(*addr)?;
-        }
-        let mut out = Vec::with_capacity(reads.len());
-        for &addr in reads {
-            let cell = self.cells.get(addr).ok_or(ServerError::Uninitialized { addr })?;
-            self.stats.downloads += 1;
-            self.stats.bytes_down += cell.len() as u64;
-            out.push(cell.to_vec());
-        }
-        for (addr, cell) in &writes {
-            self.stats.uploads += 1;
-            self.stats.bytes_up += cell.len() as u64;
-            self.cells.set(*addr, cell);
-        }
-        self.stats.round_trips += 1;
-        self.record_with(|| {
-            let mut events: Vec<AccessEvent> =
-                reads.iter().map(|&a| AccessEvent::Download(a)).collect();
-            events.extend(writes.iter().map(|&(a, _)| AccessEvent::Upload(a)));
-            events
-        });
-        Ok(out)
-    }
-
-    /// PIR-style active operation: the server XORs the cells at `addrs`
-    /// together and returns the result, charging one *compute* operation per
-    /// cell touched. All cells must have equal length.
-    pub fn xor_cells(&mut self, addrs: &[usize]) -> Result<Vec<u8>, ServerError> {
-        let mut out = Vec::new();
-        self.xor_cells_into(addrs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`SimServer::xor_cells`] into a caller scratch buffer (cleared
-    /// first): XOR runs u64-chunked over contiguous arena slices, with no
-    /// allocation once `acc` has capacity.
-    #[inline]
-    pub fn xor_cells_into(
-        &mut self,
-        addrs: &[usize],
-        acc: &mut Vec<u8>,
-    ) -> Result<(), ServerError> {
-        acc.clear();
-        let mut first = true;
-        for &addr in addrs {
-            self.check(addr)?;
-            let cell = self.cells.get(addr).ok_or(ServerError::Uninitialized { addr })?;
-            self.stats.computed += 1;
-            if first {
-                acc.extend_from_slice(cell);
-                first = false;
-            } else {
-                debug_assert_eq!(acc.len(), cell.len(), "XOR over unequal cells");
-                xor_slices(acc, cell);
-            }
-        }
-        self.stats.bytes_down += acc.len() as u64;
-        self.stats.round_trips += 1;
-        self.record_with(|| addrs.iter().map(|&a| AccessEvent::Compute(a)).collect());
-        Ok(())
+impl Default for SimServer {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::CostStats;
+    use crate::transcript::AccessEvent;
+    use crate::Storage;
 
     fn server_with(n: usize) -> SimServer {
         let mut s = SimServer::new();
@@ -566,5 +302,48 @@ mod tests {
         empty.init_empty(4);
         empty.write(0, vec![0u8; 7]).unwrap();
         assert_eq!(empty.cell_stride(), 7);
+    }
+
+    /// Cells 0 and 2 of 4 hold `[i; 4]`; 1 and 3 were never written.
+    /// Counters are zeroed and recording is on.
+    fn server_with_a_hole() -> SimServer {
+        let mut s = SimServer::new();
+        s.init_empty(4);
+        s.write_batch(vec![(0, vec![0u8; 4]), (2, vec![2u8; 4])])
+            .unwrap();
+        s.reset_stats();
+        s.start_recording();
+        s
+    }
+
+    #[test]
+    fn uninitialized_read_charges_the_prefix_and_records_nothing() {
+        let mut s = server_with_a_hole();
+        let mut seen = Vec::new();
+        let got = s.read_batch_with(&[0, 1, 2], |i, _| seen.push(i));
+        assert_eq!(got, Err(ServerError::Uninitialized { addr: 1 }));
+        assert_eq!(seen, vec![0]);
+        assert_eq!(s.stats(), CostStats { downloads: 1, bytes_down: 4, ..CostStats::default() });
+        assert_eq!(s.take_transcript().round_trips(), 0);
+    }
+
+    #[test]
+    fn uninitialized_xor_charges_one_compute_and_no_bytes() {
+        let mut s = server_with_a_hole();
+        let mut acc = Vec::new();
+        let got = s.xor_cells_into(&[0, 1, 2], &mut acc);
+        assert_eq!(got, Err(ServerError::Uninitialized { addr: 1 }));
+        assert_eq!(s.stats(), CostStats { computed: 1, ..CostStats::default() });
+        assert_eq!(s.take_transcript().round_trips(), 0);
+    }
+
+    #[test]
+    fn uninitialized_access_read_uploads_nothing() {
+        let mut s = server_with_a_hole();
+        let got = s.access_batch(&[0, 1], vec![(2, vec![9u8; 4])]);
+        assert_eq!(got, Err(ServerError::Uninitialized { addr: 1 }));
+        assert_eq!(s.stats(), CostStats { downloads: 1, bytes_down: 4, ..CostStats::default() });
+        assert_eq!(s.take_transcript().round_trips(), 0);
+        assert_eq!(s.read(2).unwrap(), vec![2u8; 4]);
     }
 }

@@ -11,15 +11,15 @@
 //! request/response exchanges and their encoded bytes, headers included.
 //! They stay zero for in-process servers, so the model counters above
 //! remain directly comparable between local and remote runs; use
-//! [`CostStats::sans_wire`] to compare a remote server's stats against a
-//! local oracle bit-for-bit.
+//! [`CostStats::sans_wire`] to compare a remote server's stats against
+//! the same program on a local server bit-for-bit.
 //!
 //! The `cache_*` counters are a fifth currency, owned by the durable
 //! backend: how the bounded read-through cell cache of
 //! `dps_server::DiskStore` behaved (hits, misses refilled by `pread`,
 //! evictions). They stay zero for in-memory servers; use
 //! [`CostStats::sans_cache`] to compare a cache-bounded store against an
-//! in-memory oracle bit-for-bit.
+//! in-memory server bit-for-bit.
 
 /// Cumulative cost counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

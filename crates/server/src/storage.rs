@@ -1,17 +1,18 @@
 //! The zero-copy storage-server trait surface.
 //!
 //! Every scheme in this workspace drives its server through this trait, so
-//! the in-process [`SimServer`], the [`crate::ShardedServer`] and
+//! the in-process [`crate::SimServer`], the [`crate::ShardedServer`] and
 //! [`crate::DiskStore`] backends, and the network client of `dps_net` are
 //! interchangeable at setup time. Every implementation is required to be
-//! *observationally equivalent* to `SimServer`: identical cells, identical
-//! [`CostStats`] charging (down to the partial charges of a mid-batch
-//! failure), and an identical [`Transcript`]. The sharded and disk
-//! backends get that charging from the one [`crate::Metered`] layer; the
-//! `shard_equivalence` and `store_equivalence` property suites pin the
-//! contract.
+//! *observationally equivalent*: identical cells, identical [`CostStats`]
+//! charging (down to the partial charges of a mid-batch failure), and an
+//! identical [`Transcript`]. The three in-process servers get that
+//! charging from the one [`crate::Metered`] layer; the `store_equivalence`
+//! property suite checks them against its independent per-cell
+//! `ReferenceServer`, and `loopback_equivalence` checks the network client
+//! against a local server.
 
-use crate::server::{ServerError, SimServer};
+use crate::server::ServerError;
 use crate::stats::CostStats;
 use crate::transcript::Transcript;
 
@@ -172,99 +173,10 @@ pub trait Storage: std::fmt::Debug + Send {
     }
 }
 
-impl Storage for SimServer {
-    #[inline]
-    fn init(&mut self, cells: Vec<Vec<u8>>) {
-        SimServer::init(self, cells);
-    }
-
-    #[inline]
-    fn init_empty(&mut self, capacity: usize) {
-        SimServer::init_empty(self, capacity);
-    }
-
-    #[inline]
-    fn capacity(&self) -> usize {
-        SimServer::capacity(self)
-    }
-
-    #[inline]
-    fn stored_bytes(&self) -> u64 {
-        SimServer::stored_bytes(self)
-    }
-
-    #[inline]
-    fn cell_stride(&self) -> usize {
-        SimServer::cell_stride(self)
-    }
-
-    #[inline]
-    fn start_recording(&mut self) {
-        SimServer::start_recording(self);
-    }
-
-    #[inline]
-    fn take_transcript(&mut self) -> Transcript {
-        SimServer::take_transcript(self)
-    }
-
-    #[inline]
-    fn is_recording(&self) -> bool {
-        SimServer::is_recording(self)
-    }
-
-    #[inline]
-    fn stats(&self) -> CostStats {
-        SimServer::stats(self)
-    }
-
-    #[inline]
-    fn reset_stats(&mut self) {
-        SimServer::reset_stats(self);
-    }
-
-    #[inline]
-    fn read_batch_with(
-        &mut self,
-        addrs: &[usize],
-        visit: impl FnMut(usize, &[u8]),
-    ) -> Result<(), ServerError> {
-        SimServer::read_batch_with(self, addrs, visit)
-    }
-
-    #[inline]
-    fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
-        SimServer::write_batch(self, writes)
-    }
-
-    #[inline]
-    fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
-        SimServer::write_from(self, addr, cell)
-    }
-
-    #[inline]
-    fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError> {
-        SimServer::write_batch_strided(self, addrs, flat)
-    }
-
-    #[inline]
-    fn access_batch(
-        &mut self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, ServerError> {
-        SimServer::access_batch(self, reads, writes)
-    }
-
-    #[inline]
-    fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
-        SimServer::xor_cells_into(self, addrs, acc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimServer;
 
     /// Drives a server purely through the trait, as a generic scheme would.
     fn exercise<S: Storage>(server: &mut S) {

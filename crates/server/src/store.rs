@@ -1,19 +1,26 @@
 //! Flat-arena cell storage.
 //!
-//! The original [`crate::SimServer`] held cells as `Vec<Option<Vec<u8>>>`:
+//! The original in-process server held cells as `Vec<Option<Vec<u8>>>`:
 //! one heap allocation per cell, pointer-chasing on every access, and a
 //! mandatory `clone` to hand a cell to the client. [`CellStore`] replaces
 //! that with a single contiguous `Vec<u8>` arena sliced at a fixed *stride*
 //! (the largest cell length seen at init), a per-cell length table, and an
 //! initialized-bitmap. Reads hand out `&[u8]` slices straight into the
-//! arena — no allocation, no copy — which is what makes the server's
-//! zero-copy API ([`crate::SimServer::read_batch_with`]) possible.
+//! arena — no allocation, no copy — which is what makes the zero-copy API
+//! ([`crate::Storage::read_batch_with`]) possible.
+//!
+//! `CellStore` is also the [`Backend`] of [`crate::SimServer`]: it only
+//! moves bytes, and [`crate::Metered`] adds the bounds checks, charging
+//! and transcript.
 //!
 //! Cells are *usually* uniform-length (every scheme in this workspace pads
 //! cells to equal length for length-indistinguishability), but the store
 //! stays observationally equivalent to the old per-cell model: shorter
 //! cells record their true length, and a write longer than the current
 //! stride triggers a (rare, amortized) re-stride of the arena.
+
+use crate::metered::Backend;
+use crate::server::ServerError;
 
 /// Contiguous fixed-stride storage for optional variable-length cells.
 #[derive(Debug, Clone, Default)]
@@ -138,6 +145,48 @@ impl CellStore {
         }
         self.data = data;
         self.stride = new_stride;
+    }
+}
+
+/// The byte-moving backend of [`crate::SimServer`]: one arena, no fan-out.
+impl Backend for CellStore {
+    fn capacity(&self) -> usize {
+        CellStore::capacity(self)
+    }
+
+    fn stored_bytes(&self) -> u64 {
+        CellStore::stored_bytes(self)
+    }
+
+    fn cell_stride(&self) -> usize {
+        self.stride
+    }
+
+    fn init(&mut self, cells: Vec<Vec<u8>>) {
+        *self = Self::from_cells(&cells);
+    }
+
+    fn init_empty(&mut self, capacity: usize) {
+        *self = Self::with_capacity(capacity);
+    }
+
+    #[inline]
+    fn read_with(
+        &mut self,
+        addrs: &[usize],
+        mut visit: impl FnMut(usize, &[u8]),
+    ) -> Result<(), ServerError> {
+        for (i, &addr) in addrs.iter().enumerate() {
+            visit(i, self.get(addr).ok_or(ServerError::Uninitialized { addr })?);
+        }
+        Ok(())
+    }
+
+    fn write(&mut self, cells: &[(usize, &[u8])]) -> Result<(), ServerError> {
+        for &(addr, cell) in cells {
+            self.set(addr, cell);
+        }
+        Ok(())
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the server substrate.
 
 use dps_server::cells::{decode_bucket, encode_bucket, encoded_len, Slot};
-use dps_server::{AccessEvent, SimServer, Transcript};
+use dps_server::{AccessEvent, SimServer, Storage, Transcript};
 use proptest::prelude::*;
 
 fn arb_slots(max_slots: usize, payload_len: usize) -> impl Strategy<Value = Vec<Slot>> {

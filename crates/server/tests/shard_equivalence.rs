@@ -7,10 +7,13 @@
 //! any shard count `S ∈ {1, 2, 4, 8}` and any pool width `T ∈ {1, 4}`
 //! must return identical cells, charge identical [`CostStats`] (down to
 //! the partial charges of a mid-batch failure), and record an identical
-//! [`Transcript`] to the sequential `SimServer`. This extends the PR-2
-//! `store_equivalence` suite one layer up: there the oracle was the old
-//! per-cell model and the subject was the arena; here the oracle is the
-//! arena `SimServer` and the subjects are its sharded twins.
+//! [`Transcript`] to the sequential `SimServer`. Both sides are
+//! `Metered`, so the charging rules are shared; what this suite pins is
+//! that `ShardBackend`'s routing and pool fan-out move exactly the bytes
+//! a single `CellStore` would. The independent check of the rules
+//! themselves is `store_equivalence`, against its per-cell
+//! `ReferenceServer`. Here "oracle" names the single-arena `SimServer`
+//! baseline.
 
 use dps_server::{ServerError, ShardedServer, SimServer, Storage, WorkerPool};
 use proptest::prelude::*;

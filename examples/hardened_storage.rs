@@ -15,7 +15,7 @@
 use dp_storage::core::dp_ram::{DpRam, DpRamConfig};
 use dp_storage::core::hardened_ram::{HardenedDpRam, HardenedRamError};
 use dp_storage::crypto::ChaChaRng;
-use dp_storage::server::SimServer;
+use dp_storage::server::{SimServer, Storage};
 
 fn main() {
     let mut rng = ChaChaRng::seed_from_u64(7);

@@ -14,7 +14,7 @@
 
 use dp_storage::core::dp_ram::{DpRam, DpRamConfig};
 use dp_storage::crypto::ChaChaRng;
-use dp_storage::server::{AccessEvent, SimServer};
+use dp_storage::server::{AccessEvent, SimServer, Storage};
 use dp_storage::workloads::Op;
 
 const MAILBOX_SIZE: usize = 512;

@@ -8,7 +8,7 @@ use dp_storage::core::hardened_ram::{HardenedDpRam, HardenedRamError, TamperDete
 use dp_storage::crypto::merkle::MerkleTree;
 use dp_storage::crypto::ChaChaRng;
 use dp_storage::oram::{PathOram, PathOramConfig};
-use dp_storage::server::{SimServer, VerifiedError, VerifiedServer};
+use dp_storage::server::{SimServer, Storage, VerifiedError, VerifiedServer};
 use dp_storage::workloads::generators::database;
 
 const N: usize = 64;

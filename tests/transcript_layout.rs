@@ -9,7 +9,7 @@ use dp_storage::core::dp_kvs::{DpKvs, DpKvsConfig, DpKvsError};
 use dp_storage::core::dp_ram::{DpRam, DpRamConfig};
 use dp_storage::crypto::ChaChaRng;
 use dp_storage::hashing::ForestGeometry;
-use dp_storage::server::{AccessEvent, SimServer, Transcript};
+use dp_storage::server::{AccessEvent, SimServer, Storage, Transcript};
 use dp_storage::workloads::generators::database;
 use dp_storage::workloads::Op;
 
